@@ -18,11 +18,15 @@ arithmetic without rebuilding the dynamic tape:
   allocator that reuses output buffers, build-time kernel validation
   against the traced values) and :class:`PlanCache` (plans keyed on
   input shapes, so dynamic serving batches compile once per shape).
+  Specialised kernels cover only the ops the served models run where
+  they beat eager replay; every other op replays its eager call.
 
 Bit-exactness is the contract: every kernel replicates the eager numpy
 arithmetic operation for operation, and plan construction verifies each
 kernel's output bitwise against the traced value, falling back to eager
-replay for any node that disagrees.
+replay for any node that disagrees.  A node whose eager replay cannot
+reproduce it either fails the build with ``CompileError``.  A plan
+depends only on its graph: two builds of the same model are identical.
 
 Quickstart::
 

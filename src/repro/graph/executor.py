@@ -11,8 +11,12 @@ repeats the shift/exp/sum sequence).  Plan construction *proves* this:
 each kernel is executed once on the traced input values and its output
 compared bitwise (shape, dtype, bytes) against the value the eager pass
 produced.  Any kernel that disagrees — or raises — is replaced by a
-generic eager-replay fallback reconstructed from the node's recorded
-call template, so a plan can never silently drift from eager semantics.
+generic eager replay reconstructed from the node's recorded call
+template, and that replay is validated the same way; a node neither can
+reproduce fails the build with :class:`CompileError`, so a plan can
+never silently drift from eager semantics.  Specialised kernels exist
+only for ops the served models run where they measurably beat replay;
+every other op runs through the generic replay.
 
 **Allocation reuse.**  Buffer liveness analysis (aliases such as
 ``reshape``/``transpose`` extend their base buffer's lifetime) feeds a
@@ -20,10 +24,9 @@ persistent arena: output buffers are allocated once at build time,
 pooled by ``(dtype, element count)``, and handed to later nodes as
 earlier values die.  A node's inputs are released only *after* its own
 output buffer is acquired, so a kernel never reads and writes the same
-storage.  Convolutions additionally carry private pad/column scratch
-buffers and are autotuned at build time between the memoised im2col
-path and a ``sliding_window_view`` contraction (bitwise-identical,
-shape-dependent winners).
+storage.  Convolutions carry private pad/column scratch buffers and run
+the same im2col gather and ``tensordot`` as eager ``conv2d``, so a plan
+depends only on its graph.
 
 **Observability.**  When an op-level profiler is active, each kernel
 execution is recorded via :meth:`Profiler.record_op` under the node's
@@ -36,22 +39,19 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.autograd.functional import _im2col, _pair
-from repro.autograd.tensor import Tensor, no_grad
+from repro.autograd.tensor import Tensor
 from repro.graph.ir import Graph, Node, Slot
 from repro.graph.trace import TracedGraph
 from repro.obs import trace_span
 
 #: Ops whose kernels write into pooled arena buffers via ``out=``.
 _POOLED_OPS = frozenset({
-    "add", "sub", "neg", "mul", "div", "pow", "maximum", "where",
-    "exp", "log", "tanh", "sigmoid", "relu", "abs", "clip",
-    "matmul", "concatenate", "softmax", "log_softmax",
+    "add", "sub", "mul", "div", "matmul", "concatenate", "softmax",
     "bn_affine", "conv2d", "max_pool2d",
 })
 
@@ -72,16 +72,6 @@ def _template_has_slot(template: Any) -> bool:
     if isinstance(template, (list, tuple)):
         return any(_template_has_slot(item) for item in template)
     return False
-
-
-def _substitute(template: Any, values: Sequence[Any]) -> Any:
-    """Fill :class:`Slot` markers in a call template with runtime values."""
-    if isinstance(template, Slot):
-        return values[template.index]
-    if isinstance(template, (list, tuple)):
-        items = [_substitute(item, values) for item in template]
-        return items if isinstance(template, list) else tuple(items)
-    return template
 
 
 def _literal(args: Tuple, kwargs: Dict, position: int, name: str, default: Any) -> Any:
@@ -136,7 +126,6 @@ class ExecutionPlan:
         self.traced = traced
         self.graph: Graph = traced.graph
         self.fallbacks = 0
-        self.autotune: Dict[str, str] = {}
         self._lock = threading.Lock()
         self._build()
 
@@ -226,27 +215,39 @@ class ExecutionPlan:
     def _validate(self, steps: List[Tuple[int, Node, Callable]]) -> None:
         """Run every kernel on the traced values; fall back on mismatch.
 
-        After each comparison the slot is reset to the traced value, so
-        downstream kernels always validate against pristine eager inputs.
+        A kernel that disagrees is replaced by the generic eager replay,
+        which must then reproduce the traced value itself; a node that
+        neither can reproduce raises :class:`CompileError` here rather
+        than on the plan's first request.  After each comparison the
+        slot is reset to the traced value, so downstream kernels always
+        validate against pristine eager inputs.
         """
         slots = self._slots
         for input_node in self.graph.inputs:
             slots[self._slot_of[input_node.id]] = input_node.value
         for index, (slot, node, kernel) in enumerate(steps):
-            try:
-                produced = kernel()
-                ok = (
-                    _bitwise_equal(produced, node.value)
-                    if isinstance(node.value, np.ndarray)
-                    else True  # tuple-valued externals checked via tuple_get
-                )
-            except Exception:
-                ok = False
-            if not ok:
+            if not self._reproduces(node, kernel):
                 fallback = self._build_generic_kernel(node)
+                if not self._reproduces(node, fallback):
+                    raise CompileError(
+                        f"plan for {self.traced.fn_name}: node %{node.id} "
+                        f"{node.name} ({node.op}) does not reproduce its "
+                        f"traced value, not even by eager replay"
+                    )
                 steps[index] = (slot, node, fallback)
                 self.fallbacks += 1
             slots[slot] = node.value
+
+    @staticmethod
+    def _reproduces(node: Node, kernel: Callable[[], Any]) -> bool:
+        """Whether ``kernel`` returns the node's traced value bitwise."""
+        try:
+            produced = kernel()
+        except Exception:
+            return False
+        if isinstance(node.value, np.ndarray):
+            return _bitwise_equal(produced, node.value)
+        return True  # tuple-valued externals are checked via tuple_get
 
     # ------------------------------------------------------------------
     # Kernel construction
@@ -261,10 +262,10 @@ class ExecutionPlan:
         if op == "conv2d":
             return self._build_conv_kernel(node, out)
 
-        if op in ("add", "sub", "mul", "div", "maximum"):
+        if op in ("add", "sub", "mul", "div"):
             ufunc = {
                 "add": np.add, "sub": np.subtract, "mul": np.multiply,
-                "div": np.true_divide, "maximum": np.maximum,
+                "div": np.true_divide,
             }[op]
             ia, ib = in_slots[0], in_slots[1]
             epilogue = node.attrs.get("epilogue")
@@ -278,72 +279,6 @@ class ExecutionPlan:
             def kernel_binary():
                 return ufunc(slots[ia], slots[ib], out=out)
             return kernel_binary
-
-        if op in ("neg", "exp", "log", "tanh", "abs"):
-            ufunc = {
-                "neg": np.negative, "exp": np.exp, "log": np.log,
-                "tanh": np.tanh, "abs": np.abs,
-            }[op]
-            ia = in_slots[0]
-
-            def kernel_unary():
-                return ufunc(slots[ia], out=out)
-            return kernel_unary
-
-        if op == "relu":
-            ia = in_slots[0]
-
-            def kernel_relu():
-                a = slots[ia]
-                return np.multiply(a, a > 0, out=out)
-            return kernel_relu
-
-        if op == "sigmoid":
-            ia = in_slots[0]
-
-            def kernel_sigmoid():
-                np.negative(slots[ia], out=out)
-                np.exp(out, out=out)
-                np.add(out, 1.0, out=out)
-                np.true_divide(1.0, out, out=out)
-                return out
-            return kernel_sigmoid
-
-        if op == "leaky_relu":
-            ia = in_slots[0]
-            slope = _literal(args, kwargs, 1, "negative_slope", 0.01)
-
-            def kernel_leaky():
-                a = slots[ia]
-                return a * np.where(a > 0, 1.0, slope)
-            return kernel_leaky
-
-        if op == "pow":
-            ia = in_slots[0]
-            exponent = _literal(args, kwargs, 1, "exponent", None)
-
-            def kernel_pow():
-                return np.power(slots[ia], exponent, out=out)
-            return kernel_pow
-
-        if op == "clip":
-            ia = in_slots[0]
-            low = _literal(args, kwargs, 1, "low", None)
-            high = _literal(args, kwargs, 2, "high", None)
-
-            def kernel_clip():
-                return np.clip(slots[ia], low, high, out=out)
-            return kernel_clip
-
-        if op == "where":
-            ic, ia, ib = in_slots[0], in_slots[1], in_slots[2]
-
-            def kernel_where():
-                condition = np.asarray(slots[ic], dtype=bool)
-                result = np.where(condition, slots[ia], slots[ib])
-                np.copyto(out, result)
-                return out
-            return kernel_where
 
         if op == "matmul":
             ia, ib = in_slots[0], in_slots[1]
@@ -359,42 +294,26 @@ class ExecutionPlan:
                 return np.concatenate([slots[i] for i in in_slots], axis=axis, out=out)
             return kernel_concat
 
-        if op == "stack":
-            axis = _literal(args, kwargs, 1, "axis", 0)
-
-            def kernel_stack():
-                return np.stack([slots[i] for i in in_slots], axis=axis)
-            return kernel_stack
-
-        if op in ("softmax", "log_softmax"):
+        if op == "softmax":
             ia = in_slots[0]
             axis = _literal(args, kwargs, 1, "axis", -1)
-            if op == "softmax":
-                def kernel_softmax():
-                    x = slots[ia]
-                    np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-                    np.exp(out, out=out)
-                    np.true_divide(out, out.sum(axis=axis, keepdims=True), out=out)
-                    return out
-                return kernel_softmax
 
-            def kernel_log_softmax():
+            def kernel_softmax():
                 x = slots[ia]
                 np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
-                log_sum = np.log(np.exp(out).sum(axis=axis, keepdims=True))
-                np.subtract(out, log_sum, out=out)
+                np.exp(out, out=out)
+                np.true_divide(out, out.sum(axis=axis, keepdims=True), out=out)
                 return out
-            return kernel_log_softmax
+            return kernel_softmax
 
-        if op in ("sum", "max"):
+        if op == "sum":
             ia = in_slots[0]
             axis = _literal(args, kwargs, 1, "axis", None)
             keepdims = _literal(args, kwargs, 2, "keepdims", False)
-            reducer = "sum" if op == "sum" else "max"
 
-            def kernel_reduce():
-                return getattr(slots[ia], reducer)(axis=axis, keepdims=keepdims)
-            return kernel_reduce
+            def kernel_sum():
+                return slots[ia].sum(axis=axis, keepdims=keepdims)
+            return kernel_sum
 
         if op in ("mean", "var"):
             return self._build_mean_var_kernel(node, in_slots, args, kwargs)
@@ -420,19 +339,6 @@ class ExecutionPlan:
             def kernel_reshape():
                 return slots[ia].reshape(shape)
             return kernel_reshape
-
-        if op == "transpose":
-            ia = in_slots[0]
-            axes = args[1:]
-            ndim = len(node.inputs[0].shape or ())
-            if not axes:
-                axes = tuple(reversed(range(ndim)))
-            elif len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-                axes = tuple(axes[0])
-
-            def kernel_transpose():
-                return slots[ia].transpose(axes)
-            return kernel_transpose
 
         if op == "index":
             ia = in_slots[0]
@@ -470,22 +376,8 @@ class ExecutionPlan:
                 return slots[iw][np.asarray(slots[ii], dtype=np.int64)]
             return kernel_embedding
 
-        if op == "pad2d":
-            return self._build_pad_kernel(node, in_slots, args, kwargs)
-
-        if op in ("max_pool2d", "avg_pool2d"):
-            return self._build_pool_kernel(node, in_slots, args, kwargs, out)
-
-        if op == "external":
-            fn = node.attrs["fn"]
-            arg_t, kw_t = node.attrs.get("args", ()), node.attrs.get("kwargs", {})
-
-            def kernel_external():
-                values = [slots[i] for i in in_slots]
-                call_args = _substitute(arg_t, values)
-                call_kwargs = {k: _substitute(v, values) for k, v in kw_t.items()}
-                return fn(*call_args, **call_kwargs)
-            return kernel_external
+        if op == "max_pool2d":
+            return self._build_max_pool_kernel(node, in_slots, args, kwargs, out)
 
         return self._build_generic_kernel(node)
 
@@ -520,70 +412,40 @@ class ExecutionPlan:
             return squared.sum(axis=axis, keepdims=keepdims) / divisor
         return kernel_var
 
-    def _build_pad_kernel(self, node: Node, in_slots: List[int],
-                          args: Tuple, kwargs: Dict) -> Callable[[], np.ndarray]:
+    def _build_max_pool_kernel(self, node: Node, in_slots: List[int],
+                               args: Tuple, kwargs: Dict,
+                               out: np.ndarray) -> Callable[[], np.ndarray]:
+        """Max values only, no argmax indices (inference needs none).
+
+        A running first-max-wins comparison over the kernel offsets
+        (flat row-major order) replicates eager's
+        ``take_along_axis(argmax)`` exactly: strict ``>`` keeps the
+        earliest window on ties, which is argmax's tie rule.  (The one
+        divergence is NaN activations, where argmax treats NaN as the
+        maximum; build-time validation covers the traced batch and NaN
+        activations mean the model is already broken.)
+        """
         slots = self._slots
         ia = in_slots[0]
-        ph, pw = _pair(_literal(args, kwargs, 1, "padding", 0))
-        in_shape = node.inputs[0].shape
-        buffer = np.zeros(node.shape, dtype=node.dtype)
-        h, w = in_shape[2], in_shape[3]
-
-        def kernel_pad():
-            buffer[:, :, ph:ph + h, pw:pw + w] = slots[ia]
-            return buffer
-        return kernel_pad
-
-    def _build_pool_kernel(self, node: Node, in_slots: List[int],
-                           args: Tuple, kwargs: Dict,
-                           out: Optional[np.ndarray]) -> Callable[[], np.ndarray]:
-        slots = self._slots
-        ia = in_slots[0]
-        kernel_size = _pair(_literal(args, kwargs, 1, "kernel", None))
+        kh, kw = _pair(_literal(args, kwargs, 1, "kernel", None))
         stride_arg = _literal(args, kwargs, 2, "stride", None)
-        stride = kernel_size if stride_arg is None else _pair(stride_arg)
+        sh, sw = (kh, kw) if stride_arg is None else _pair(stride_arg)
         n, c, h, w = node.inputs[0].shape
-        kh, kw = kernel_size
-        sh, sw = stride
         oh = (h - kh) // sh + 1
         ow = (w - kw) // sw + 1
+        offsets = [(i, j) for i in range(kh) for j in range(kw)]
+        mask_buf = np.empty((n, c, oh, ow), dtype=bool)
 
-        if node.op == "max_pool2d":
-            # Inference needs the max values only, not argmax indices.  A
-            # running first-max-wins comparison over the kernel offsets
-            # (flat row-major order) replicates eager's
-            # ``take_along_axis(argmax)`` exactly: strict ``>`` keeps the
-            # earliest window on ties, which is argmax's tie rule.  (The
-            # one divergence is NaN activations, where argmax treats NaN
-            # as the maximum; build-time validation covers the traced
-            # batch and NaN activations mean the model is already broken.)
-            offsets = [(i, j) for i in range(kh) for j in range(kw)]
-            mask_buf = np.empty((n, c, oh, ow), dtype=bool)
-            # Producers may hand us a transposed view (the conv kernels'
-            # "view" variants); one contiguising copy beats kh*kw strided
-            # traversals and changes no values.
-            contig_buf = np.empty((n, c, h, w), dtype=node.inputs[0].dtype)
-
-            def kernel_max_pool():
-                x = slots[ia]
-                if not x.flags.c_contiguous:
-                    np.copyto(contig_buf, x)
-                    x = contig_buf
-                i0, j0 = offsets[0]
-                np.copyto(out, x[:, :, i0:i0 + sh * oh:sh, j0:j0 + sw * ow:sw])
-                for i, j in offsets[1:]:
-                    window = x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
-                    np.greater(window, out, out=mask_buf)
-                    np.copyto(out, window, where=mask_buf)
-                return out
-            return kernel_max_pool
-
-        cols_buf = np.empty((n, c, kh, kw, oh, ow), dtype=node.inputs[0].dtype)
-
-        def kernel_avg_pool():
-            cols = _im2col(slots[ia], kernel_size, stride, out=cols_buf)
-            return cols.mean(axis=(2, 3))
-        return kernel_avg_pool
+        def kernel_max_pool():
+            x = slots[ia]
+            i0, j0 = offsets[0]
+            np.copyto(out, x[:, :, i0:i0 + sh * oh:sh, j0:j0 + sw * ow:sw])
+            for i, j in offsets[1:]:
+                window = x[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+                np.greater(window, out, out=mask_buf)
+                np.copyto(out, window, where=mask_buf)
+            return out
+        return kernel_max_pool
 
     # -- convolution ----------------------------------------------------
     def _build_conv_kernel(self, node: Node, out: np.ndarray) -> Callable[[], np.ndarray]:
@@ -615,94 +477,18 @@ class ExecutionPlan:
 
         pad_buf = np.zeros((n, c, hp, wp), dtype=x_node.dtype) if (ph or pw) else None
         cols_buf = np.empty((n, c, kh, kw, oh, ow), dtype=x_node.dtype)
-        # Unpadded convs (1x1 heads) may receive transposed views from a
-        # "view"-variant producer; gather paths want contiguous input.
-        contig_buf = None if pad_buf is not None else np.empty(
-            (n, c, h, w), dtype=x_node.dtype
-        )
-
-        def padded() -> np.ndarray:
-            x = slots[ix]
-            if pad_buf is None:
-                if x.flags.c_contiguous:
-                    return x
-                np.copyto(contig_buf, x)
-                return contig_buf
-            pad_buf[:, :, ph:ph + h, pw:pw + w] = x
-            return pad_buf
 
         def conv_im2col() -> np.ndarray:
-            cols = _im2col(padded(), (kh, kw), stride, out=cols_buf)
+            x = slots[ix]
+            if pad_buf is not None:
+                pad_buf[:, :, ph:ph + h, pw:pw + w] = x
+                x = pad_buf
+            cols = _im2col(x, (kh, kw), stride, out=cols_buf)
             tmp = np.tensordot(cols, weight, axes=([1, 2, 3], [1, 2, 3]))
             epilogue(tmp)
             np.copyto(out, tmp.transpose(0, 3, 1, 2))
             return out
-
-        def conv_swv() -> np.ndarray:
-            view = sliding_window_view(padded(), (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-            tmp = np.tensordot(view, weight, axes=([1, 4, 5], [1, 2, 3]))
-            epilogue(tmp)
-            np.copyto(out, tmp.transpose(0, 3, 1, 2))
-            return out
-
-        # "view" variants skip the NCHW materialisation: the contraction
-        # output is fresh memory each call, so handing consumers a
-        # transposed view is safe, and every downstream kernel is either
-        # elementwise, a copying pad/gather, or a BLAS call that
-        # contiguises its operands — all layout-independent bitwise.
-        def conv_im2col_view() -> np.ndarray:
-            cols = _im2col(padded(), (kh, kw), stride, out=cols_buf)
-            tmp = np.tensordot(cols, weight, axes=([1, 2, 3], [1, 2, 3]))
-            epilogue(tmp)
-            return tmp.transpose(0, 3, 1, 2)
-
-        def conv_swv_view() -> np.ndarray:
-            view = sliding_window_view(padded(), (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-            tmp = np.tensordot(view, weight, axes=([1, 4, 5], [1, 2, 3]))
-            epilogue(tmp)
-            return tmp.transpose(0, 3, 1, 2)
-
-        # "gemm" gathers straight into the (N*OH*OW, C*KH*KW) layout the
-        # contraction wants, so np.dot runs with zero internal copies —
-        # tensordot would first transpose-copy the (N,C,KH,KW,OH,OW)
-        # columns.  The 2-D operands are bitwise identical to
-        # tensordot's, hence so is the product.
-        f = weight.shape[0]
-        contraction = c * kh * kw
-        c_off = (np.arange(c) * hp * wp)[None, None, :, None, None]
-        row_off = (
-            (sh * np.arange(oh))[:, None, None, None, None]
-            + np.arange(kh)[None, None, None, :, None]
-        ) * wp
-        col_off = (
-            (sw * np.arange(ow))[None, :, None, None, None]
-            + np.arange(kw)[None, None, None, None, :]
-        )
-        gemm_index = (c_off + row_off + col_off).reshape(-1)
-        weight_t = np.ascontiguousarray(
-            weight.reshape(f, contraction).T
-        )
-        gemm_cols = np.empty((n, gemm_index.size), dtype=x_node.dtype)
-        gemm_out = np.empty((n * oh * ow, f), dtype=node.dtype)
-
-        def conv_gemm() -> np.ndarray:
-            flat = padded().reshape(n, c * hp * wp)
-            np.take(flat, gemm_index, axis=1, out=gemm_cols)
-            a = gemm_cols.reshape(n * oh * ow, contraction)
-            np.dot(a, weight_t, out=gemm_out)
-            tmp = gemm_out.reshape(n, oh, ow, f)
-            epilogue(tmp)
-            return tmp.transpose(0, 3, 1, 2)
-
-        kernel = self._autotune_conv(
-            node,
-            ("im2col", conv_im2col),
-            ("swv", conv_swv),
-            ("im2col-view", conv_im2col_view),
-            ("swv-view", conv_swv_view),
-            ("gemm", conv_gemm),
-        )
-        return kernel
+        return conv_im2col
 
     def _build_nhwc_epilogue(self, node: Node, bias: Optional[np.ndarray]) -> Callable:
         """In-place epilogue on the (N, OH, OW, F) contraction output.
@@ -736,41 +522,6 @@ class ExecutionPlan:
                 fn(tmp)
         return apply
 
-    def _autotune_conv(self, node: Node,
-                       *variants) -> Callable[[], np.ndarray]:
-        """Pick the fastest of several bitwise-identical conv strategies.
-
-        Measured on the traced input values at build time; the losers
-        are discarded.  Any candidate that fails bitwise validation is
-        rejected here rather than waiting for the generic validator.
-        """
-        ix = self._slot_of[node.inputs[0].id]
-        saved = self._slots[ix]
-        self._slots[ix] = node.inputs[0].value
-        try:
-            candidates = []
-            for name, fn in variants:
-                try:
-                    result = fn()
-                    if not _bitwise_equal(result, node.value):
-                        continue
-                    best = float("inf")
-                    for _ in range(2):
-                        start = time.perf_counter()
-                        fn()
-                        best = min(best, time.perf_counter() - start)
-                    candidates.append((best, name, fn))
-                except Exception:
-                    continue
-        finally:
-            self._slots[ix] = saved
-        if not candidates:
-            return self._build_generic_kernel(node)
-        candidates.sort(key=lambda item: item[0])
-        _, name, fn = candidates[0]
-        self.autotune[f"%{node.id}:{node.name}"] = name
-        return fn
-
     # -- generic eager replay -------------------------------------------
     def _build_generic_kernel(self, node: Node) -> Callable[[], Any]:
         """Replay the recorded eager call — the always-correct fallback."""
@@ -781,22 +532,28 @@ class ExecutionPlan:
         arg_t = node.attrs.get("args", ())
         kw_t = node.attrs.get("kwargs", {})
         epilogue = node.attrs.get("epilogue", ())
-        wrap = kind in ("method", "function") and attr not in ("__getitem__",)
+        wrap = kind in ("method", "function")
 
-        def resolve_callable():
-            if kind == "method":
-                fn = getattr(Tensor, attr)
-            elif kind == "function":
-                from repro.obs.profiler import _FUNCTION_OPS
-                fn = getattr(_FUNCTION_OPS[attr], attr)
-            else:
-                fn = node.attrs["fn"]
-            return getattr(fn, "_obs_original", fn)
+        if kind == "method":
+            fn = getattr(Tensor, attr)
+        elif kind == "function":
+            from repro.obs.profiler import _FUNCTION_OPS
+            fn = getattr(_FUNCTION_OPS[attr], attr)
+        elif kind == "external":
+            fn = node.attrs["fn"]
+        else:
+            raise CompileError(
+                f"plan for {self.traced.fn_name}: node %{node.id} {node.name} "
+                f"({node.op}) has no eager call to replay"
+            )
+        # An active profiler or tracer may have patched the binding.
+        fn = getattr(fn, "_obs_original", fn)
+        fn = getattr(fn, "_graph_original", fn)
 
         def substitute(template, values):
             if isinstance(template, Slot):
                 value = values[template.index]
-                if wrap and isinstance(value, np.ndarray):
+                if wrap and template.tensor:
                     return Tensor(value)
                 return value
             if isinstance(template, (list, tuple)):
@@ -806,13 +563,11 @@ class ExecutionPlan:
 
         def kernel_generic():
             values = [slots[i] for i in in_slots]
-            fn = resolve_callable()
             call_args = substitute(arg_t, values)
-            if kind == "method" and attr == "__getitem__":
-                call_args = (Tensor(values[0]),) + tuple(call_args[1:])
             call_kwargs = {k: substitute(v, values) for k, v in kw_t.items()}
-            with no_grad():
-                result = fn(*call_args, **call_kwargs)
+            # Every operand is a fresh Tensor without requires_grad, so
+            # the call records no tape even with gradients enabled.
+            result = fn(*call_args, **call_kwargs)
             value = result.data if isinstance(result, Tensor) else result
             for step in epilogue:
                 if step["op"] == "bn_affine":
@@ -872,9 +627,6 @@ class ExecutionPlan:
             f"arena: {self.arena_buffers} buffers, "
             f"{self.arena_bytes / 1024:.1f} KiB, {self.arena_reuses} reuses",
         ]
-        if self.autotune:
-            chosen = ", ".join(f"{k}->{v}" for k, v in sorted(self.autotune.items()))
-            lines.append(f"conv autotune: {chosen}")
         return "\n".join(lines)
 
 

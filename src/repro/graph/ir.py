@@ -26,12 +26,18 @@ import numpy as np
 
 
 class Slot:
-    """Marker inside a call template: ``inputs[index]`` goes here."""
+    """Marker inside a call template: ``inputs[index]`` goes here.
 
-    __slots__ = ("index",)
+    ``tensor`` records whether the eager call received a :class:`Tensor`
+    here or a raw array (embedding indices, ``where`` conditions, fancy
+    indices), so eager replay can hand each operand back as it was.
+    """
 
-    def __init__(self, index: int):
+    __slots__ = ("index", "tensor")
+
+    def __init__(self, index: int, tensor: bool = True):
         self.index = index
+        self.tensor = tensor
 
     def __repr__(self) -> str:
         return f"Slot({self.index})"

@@ -185,7 +185,7 @@ class Tracer:
         if isinstance(value, (Tensor, np.ndarray)):
             node = self.node_for(value)
             inputs.append(node)
-            return Slot(len(inputs) - 1)
+            return Slot(len(inputs) - 1, tensor=isinstance(value, Tensor))
         if isinstance(value, (list, tuple)):
             items = [self._template(item, inputs) for item in value]
             return items if isinstance(value, list) else tuple(items)

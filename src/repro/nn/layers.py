@@ -53,14 +53,14 @@ class Conv2d(Module):
 class DilatedConv2d(Module):
     """2-D convolution with a dilation rate, via kernel expansion.
 
-    The autograd ``conv2d`` primitive (and the compiled executor's
-    autotuned kernels behind it) has no dilation parameter, so dilation
+    The autograd ``conv2d`` primitive (and the compiled executor's conv
+    kernel that mirrors it) has no dilation parameter, so dilation
     is lowered algebraically instead: the dense ``k x k`` weight is
     scattered into a zero-stuffed ``(d(k-1)+1)`` square kernel with a
     constant 0/1 placement matrix, and the standard convolution runs on
     that.  The scatter is a ``matmul`` against a constant, so gradients
     flow to the dense weight and the graph tracer captures the whole
-    layer with the ordinary conv machinery (autotuner included).
+    layer with the ordinary conv machinery.
 
     ``dilation=1`` skips the expansion and is bit-exact with
     :class:`Conv2d` given the same weights.

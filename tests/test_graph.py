@@ -5,7 +5,7 @@ import pytest
 
 from repro import autograd
 from repro.autograd import Tensor, no_grad
-from repro.core import Grounder, YolloConfig, YolloModel
+from repro.core import Grounder, YolloConfig, YolloModel, rel2att
 from repro.data import REFCOCO, build_dataset
 from repro.data.loader import encode_batch
 from repro.graph import (
@@ -258,6 +258,104 @@ class TestExecutor:
         _, plan = self._plan()
         text = plan.describe()
         assert "kernels" in text and "arena" in text
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_plans_are_deterministic(self, dataset, n):
+        def build():
+            model, cfg = make_model(dataset)
+            batch = batch_of(dataset, cfg, n=n)
+            with no_grad():
+                traced = trace(
+                    model.forward, Tensor(batch["images"]),
+                    batch["token_ids"], batch["token_mask"],
+                )
+            optimize_graph(traced.graph)
+            return ExecutionPlan(traced).describe()
+
+        assert build() == build()
+
+
+def _corrupt_kernel(monkeypatch, op):
+    """Make the specialised kernel for ``op`` return wrong bytes."""
+    build = ExecutionPlan._build_kernel
+
+    def corrupted(self, node, out):
+        kernel = build(self, node, out)
+        if node.op != op:
+            return kernel
+        return lambda: kernel() + 1.0
+
+    monkeypatch.setattr(ExecutionPlan, "_build_kernel", corrupted)
+
+
+class TestValidation:
+    def test_mismatched_kernel_falls_back_to_eager_replay(self, monkeypatch):
+        _corrupt_kernel(monkeypatch, "embedding_lookup")
+        weight = Tensor(np.linspace(-1.0, 1.0, 15).reshape(5, 3))
+
+        def fn(ids):
+            return autograd.embedding_lookup(weight, ids) * 2.0
+
+        plan = ExecutionPlan(trace(fn, np.array([[0, 3, 4]])))
+        assert plan.fallbacks == 1
+        fresh = np.array([[4, 1, 1]])
+        assert plan.run(fresh).data.tobytes() == fn(fresh).data.tobytes()
+
+    def test_node_replay_cannot_reproduce_fails_at_build(self, monkeypatch):
+        from repro.graph.executor import CompileError
+
+        _corrupt_kernel(monkeypatch, "tuple_get")
+
+        def fn(weights):
+            columns, _ = rel2att._attention_normalizers(weights.data, 2, False)
+            return Tensor(columns) * 2.0
+
+        traced = trace(fn, Tensor(np.ones((1, 4, 4))))
+        with pytest.raises(CompileError, match="tuple_get"):
+            ExecutionPlan(traced)
+
+
+_SELECT = np.random.default_rng(3).random((2, 3, 4, 4)) > 0.5
+
+#: Ops without a specialised kernel (no compiled model runs them, or the
+#: kernel bought under 2% of compiled forward time): each must run
+#: through the plan's validated eager replay.
+_REPLAYED_OPS = {
+    "neg": lambda x: -x,
+    "exp": lambda x: x.exp(),
+    "log": lambda x: x.abs().log(),
+    "abs": lambda x: x.abs(),
+    "maximum": lambda x: x.maximum(0.25),
+    "relu": lambda x: x.relu(),
+    "sigmoid": lambda x: x.sigmoid(),
+    "leaky_relu": lambda x: x.leaky_relu(0.1),
+    "clip": lambda x: x.clip(-0.5, 0.5),
+    "where": lambda x: autograd.where(_SELECT, x, x * 2.0),
+    "stack": lambda x: autograd.stack([x, x], axis=1),
+    "log_softmax": lambda x: autograd.log_softmax(x, axis=1),
+    "max": lambda x: x.max(axis=1),
+    "pad2d": lambda x: autograd.pad2d(x, 1),
+    "avg_pool2d": lambda x: autograd.avg_pool2d(x, 2),
+    "tanh": lambda x: x.tanh(),
+    "pow": lambda x: x ** 3,
+    "transpose": lambda x: x.transpose(0, 2, 3, 1),
+    "external": lambda x: Tensor(
+        rel2att._attention_normalizers(x.data, 2, False)[0]
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_REPLAYED_OPS))
+def test_replayed_op_is_bit_exact(op):
+    fn = _REPLAYED_OPS[op]
+    rng = np.random.default_rng(11)
+    traced = trace(fn, Tensor(rng.normal(size=(2, 3, 4, 4))))
+    assert op in traced.graph.op_counts()
+    optimize_graph(traced.graph)
+    plan = ExecutionPlan(traced)
+    assert plan.fallbacks == 0
+    fresh = Tensor(rng.normal(size=(2, 3, 4, 4)))
+    assert plan.run(fresh).data.tobytes() == fn(fresh).data.tobytes()
 
 
 # ----------------------------------------------------------------------
