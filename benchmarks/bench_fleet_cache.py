@@ -1,17 +1,18 @@
 """Router-tier response cache — the cache-hit fast-path benchmark.
 
 The claim, asserted: answering a repeated ``(image, query)`` from the
-router-tier :class:`~repro.serve.shared_cache.SharedResponseCache` is at
-least ``MIN_SPEEDUP``x faster than the replica round-trip the miss path
-pays (pipe hop + queue + simulated fixed-latency forward + pipe hop
+router-tier response cache (a :class:`~repro.utils.cache.VersionedLRU`)
+is at least ``MIN_SPEEDUP``x faster than the replica round-trip the miss
+path pays (pipe hop + queue + simulated fixed-latency forward + pipe hop
 back).  The model latency is simulated wall time, so the comparison is
 honest on one core: a hit is an in-process dict lookup and never leaves
 the router.
 
 Also verifies the invalidation half of the design under load: after a
 rolling reload mid-sequence, every response carries the new weights —
-the epoch bump makes the warm cache unreachable in O(1) without a
-flush message ever racing a request.
+the epoch bump drops every warm entry under the cache lock (one pass
+over the entries, once per roll), and refuses any response dispatched
+before it, without a flush message ever racing a request.
 """
 
 import faulthandler

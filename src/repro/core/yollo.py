@@ -118,6 +118,7 @@ class YolloModel(Module):
 
         cache = self._plan_cache
         key = self._plan_key(images, token_ids, token_mask)
+        version = cache.version
         plan = cache.get(key)
         if plan is None:
             start = _time.perf_counter()
@@ -127,7 +128,9 @@ class YolloModel(Module):
             )
             optimize_graph(traced.graph)
             plan = ExecutionPlan(traced)
-            cache.store(key, plan, (_time.perf_counter() - start) * 1e3)
+            # A clear() while tracing (new weights) refuses the store.
+            cache.store(key, plan, (_time.perf_counter() - start) * 1e3,
+                        version=version)
         # Keep the eager span name so model-time attribution (e.g.
         # eval.timing MODEL_SPANS) sees compiled runs as forward time.
         with trace_span("yollo.forward"):

@@ -16,8 +16,9 @@ arithmetic without rebuilding the dynamic tape:
 - :mod:`repro.graph.executor` — :class:`ExecutionPlan` (topologically
   scheduled kernels, buffer-liveness analysis, a persistent arena
   allocator that reuses output buffers, build-time kernel validation
-  against the traced values) and :class:`PlanCache` (plans keyed on
-  input shapes, so dynamic serving batches compile once per shape).
+  against the traced values) and :class:`PlanCache` (a
+  :class:`repro.utils.cache.VersionedLRU` of plans keyed on input
+  shapes, so dynamic serving batches compile once per shape).
   Specialised kernels cover only the ops the served models run where
   they beat eager replay; every other op replays its eager call.
 

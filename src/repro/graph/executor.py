@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -48,6 +47,7 @@ from repro.autograd.tensor import Tensor
 from repro.graph.ir import Graph, Node, Slot
 from repro.graph.trace import TracedGraph
 from repro.obs import trace_span
+from repro.utils.cache import VersionedLRU
 
 #: Ops whose kernels write into pooled arena buffers via ``out=``.
 _POOLED_OPS = frozenset({
@@ -630,41 +630,30 @@ class ExecutionPlan:
         return "\n".join(lines)
 
 
-class PlanCache:
-    """LRU cache of :class:`ExecutionPlan` objects keyed by input signature.
+class PlanCache(VersionedLRU):
+    """:class:`~repro.utils.cache.VersionedLRU` of :class:`ExecutionPlan`
+    objects keyed by input signature.
 
-    Tracks lookup/hit/compile counters and queues compile events (key,
+    Adds the compile count and a queue of compile events (key,
     milliseconds) for the serving layer to drain into its stats.
     """
 
     def __init__(self, max_plans: int = 32):
-        self.max_plans = max_plans
-        self._plans: "OrderedDict[Any, ExecutionPlan]" = OrderedDict()
-        self._lock = threading.Lock()
-        self.lookups = 0
-        self.hits = 0
-        self.compiles = 0
-        self.evictions = 0
+        super().__init__(max_plans, prefix="graph.plan_cache")
+        self._compiles = self.registry.counter("graph.plan_cache.compiles")
         self._compile_events: List[Tuple[Any, float]] = []
 
-    def get(self, key: Any) -> Optional[ExecutionPlan]:
-        with self._lock:
-            self.lookups += 1
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                self._plans.move_to_end(key)
-            return plan
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
 
-    def store(self, key: Any, plan: ExecutionPlan, compile_ms: float) -> None:
+    def store(self, key: Any, plan: ExecutionPlan, compile_ms: float,
+              version: Optional[int] = None) -> bool:
+        """Record one compile and cache its plan (see :meth:`put`)."""
+        self._compiles.inc()
         with self._lock:
-            self.compiles += 1
             self._compile_events.append((key, compile_ms))
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.max_plans:
-                self._plans.popitem(last=False)
-                self.evictions += 1
+        return self.put(key, plan, version=version)
 
     def drain_compile_events(self) -> List[Tuple[Any, float]]:
         """Return and clear compile events recorded since the last drain."""
@@ -673,18 +662,16 @@ class PlanCache:
             return events
 
     def clear(self) -> None:
+        """Invalidate every plan (see :meth:`bump`) and pending events."""
         with self._lock:
-            self._plans.clear()
             self._compile_events = []
-
-    def __len__(self) -> int:
-        return len(self._plans)
+        self.bump()
 
     def stats(self) -> Dict[str, int]:
         return {
-            "plans": len(self._plans),
+            "plans": len(self),
             "lookups": self.lookups,
             "hits": self.hits,
-            "compiles": self.compiles,
+            "compiles": self._compiles.value,
             "evictions": self.evictions,
         }

@@ -3,7 +3,7 @@
 ``ServeEngine`` queues incoming (image, query) requests, batches them
 dynamically (up to ``max_batch`` requests or ``max_wait`` seconds), runs
 one ``no_grad`` forward per batch through any grounder implementing the
-batch protocol, and answers repeats from an LRU cache.  ``ServerStats``
+batch protocol, and answers repeats from a response cache.  ``ServerStats``
 reports p50/p95/p99 latency, throughput, queue depth, cache hit rate,
 and the batch-size histogram.
 
@@ -11,11 +11,14 @@ and the batch-size histogram.
 least-loaded router with bounded-queue backpressure (typed
 ``Overloaded`` shedding), per-request deadlines with one cross-replica
 retry, crash detection + respawn, and rolling hot weight reloads
-verified by a checksum handshake.  A router-tier
-``SharedResponseCache`` answers repeats before admission, tagged with a
-weights epoch that a completed reload bumps — stale boxes are
-unreachable the instant new weights are live, and hits survive replica
-respawns.  ``run_soak`` replays a timed trace against the fleet — with
+verified by a checksum handshake.  A router-tier response cache
+answers repeats before admission; a completed reload bumps its weights
+epoch, dropping every stale box the instant new weights are live, and
+hits survive replica respawns.  Both response caches (and a compiled
+model's plan cache) are one :class:`repro.utils.cache.VersionedLRU`,
+which counts its own hits, misses and evictions into the tier's
+:class:`~repro.obs.MetricsRegistry` (``serve.cache.*`` /
+``serve.fleet.cache.*``).  ``run_soak`` replays a timed trace against the fleet — with
 deterministic fault injection — and asserts the no-lost-requests /
 no-stale-responses / p99 SLO invariants.
 
@@ -27,7 +30,7 @@ soak harness report per-scenario p99 and assert that no-target queries
 are never answered "found".
 """
 
-from repro.serve.cache import LRUCache, image_digest
+from repro.serve.cache import image_digest
 from repro.serve.engine import (
     EngineDrainTimeout,
     EngineStopped,
@@ -54,7 +57,6 @@ from repro.serve.replica import (
     load_checkpoint_payload,
     state_checksum,
 )
-from repro.serve.shared_cache import SharedCacheStats, SharedResponseCache
 from repro.serve.soak import SoakReport, run_soak
 from repro.serve.stats import ServerStats, StatsRecorder
 from repro.serve.trace import (
@@ -65,9 +67,6 @@ from repro.serve.trace import (
 )
 
 __all__ = [
-    "LRUCache",
-    "SharedResponseCache",
-    "SharedCacheStats",
     "image_digest",
     "ServeEngine",
     "EngineStopped",

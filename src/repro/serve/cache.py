@@ -1,24 +1,14 @@
-"""LRU result cache for the serving engine.
+"""Content digest behind every serving cache key.
 
 Cache keys combine a content digest of the image with the raw query
 string, so two requests for the same pixels and words share one entry
-no matter which array object carries them.
-
-The cache is the single source of truth for its own telemetry: ``get``
-counts hits and misses (alongside the existing eviction counter), so
-the engine's :class:`~repro.serve.stats.ServerStats` reads the numbers
-straight off the cache instead of keeping a parallel tally that can
-drift.  Callers that serve a request *as if* from the cache without a
-lookup — the engine's in-flight dedup collapses identical queued
-requests onto one forward slot — credit the cache explicitly through
-:meth:`LRUCache.count_hit` / :meth:`LRUCache.count_miss`.
+no matter which array object carries them.  The caches themselves are
+:class:`repro.utils.cache.VersionedLRU` instances.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from typing import Hashable, Optional
 
 import numpy as np
 
@@ -31,78 +21,3 @@ def image_digest(image: np.ndarray) -> str:
     digest.update(str(array.shape).encode("ascii"))
     digest.update(array.tobytes())
     return digest.hexdigest()
-
-
-class LRUCache:
-    """A bounded mapping that evicts the least-recently-used entry.
-
-    ``get`` refreshes recency; ``put`` inserts (or refreshes) and evicts
-    from the cold end once ``capacity`` is exceeded.  ``capacity == 0``
-    disables caching entirely (every ``get`` misses).
-
-    Lookup outcomes accumulate in :attr:`hits` / :attr:`misses`
-    (evictions in :attr:`evictions`); pass ``count=False`` to ``get``
-    for a probe that should not affect the tallies (the engine probes at
-    submit time but only counts the request's *final* outcome, so one
-    request never counts twice).
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = capacity
-        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
-        self.evictions = 0
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of counted lookups answered from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def count_hit(self) -> None:
-        """Credit one hit decided outside ``get`` (e.g. in-flight dedup)."""
-        self.hits += 1
-
-    def count_miss(self) -> None:
-        """Record one miss decided outside ``get``."""
-        self.misses += 1
-
-    def get(self, key: Hashable, count: bool = True) -> Optional[object]:
-        """Return the cached value (refreshing recency) or ``None``."""
-        if key not in self._entries:
-            if count:
-                self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        if count:
-            self.hits += 1
-        return self._entries[key]
-
-    def put(self, key: Hashable, value: object) -> None:
-        """Insert ``value``, evicting the coldest entries past capacity."""
-        if self.capacity == 0:
-            return
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (hit/miss/eviction tallies are kept)."""
-        self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction tallies (entries are kept)."""
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0

@@ -3,8 +3,10 @@
 Requests enter a queue; a worker thread collects up to ``max_batch`` of
 them (waiting at most ``max_wait`` seconds after the first arrival) and
 runs ONE batched forward pass under ``no_grad`` through the wrapped
-grounder.  Repeated (image, query) pairs are answered from an LRU cache
-without touching the model at all.  Every request's latency, every
+grounder.  Repeated (image, query) pairs are answered from a
+:class:`~repro.utils.cache.VersionedLRU` without touching the model at
+all; the cache counts its own hits and misses into the engine's
+registry (``serve.cache.*``).  Every request's latency, every
 batch's size, and the queue depth are recorded into a
 :class:`repro.serve.stats.StatsRecorder`.
 
@@ -43,9 +45,10 @@ from repro.core.response import (
 )
 from repro.data.refcoco import GroundingSample
 from repro.obs import MetricsRegistry, trace_span
-from repro.serve.cache import LRUCache, image_digest
-from repro.serve.stats import ServerStats, StatsRecorder
+from repro.serve.cache import image_digest
+from repro.serve.stats import CACHE_PREFIX, ServerStats, StatsRecorder
 from repro.text.tokenizer import normalize_query, tokenize
+from repro.utils.cache import VersionedLRU
 
 #: Queue sentinel that tells the worker to drain out.
 _SHUTDOWN = object()
@@ -139,13 +142,9 @@ class ServeEngine:
         self.max_batch = max_batch
         self.max_wait = max_wait
         self._queue: "queue.Queue" = queue.Queue()
-        self._cache = LRUCache(cache_size)
-        self._cache_lock = threading.Lock()
-        # Bumped by ``clear_cache``: a batch that was already in flight
-        # when the cache was cleared must not insert its (potentially
-        # stale) boxes afterwards.
-        self._cache_version = 0
-        self._recorder = StatsRecorder(registry=metrics, cache=self._cache)
+        self._recorder = StatsRecorder(registry=metrics)
+        self._cache = VersionedLRU(cache_size, registry=self._recorder.registry,
+                                   prefix=CACHE_PREFIX)
         self._thread: threading.Thread = None
         # Guards the submit/stop race: enqueueing a request and pushing
         # the shutdown sentinel are serialised, so a request either lands
@@ -252,13 +251,13 @@ class ServeEngine:
         # model pass) in every tier downstream.
         query = normalize_query(str(query))
         key = (image_digest(image), query)
-        with self._cache_lock:
-            # Uncounted probe: the request's final outcome (hit, miss,
-            # or dedup hit) is credited once, at completion time.
-            cached = self._cache.get(key, count=False)
+        # Uncounted probe: the request's final outcome (hit, miss, or
+        # dedup hit) is credited once, at completion time.
+        cached = self._cache.get(key, count=False)
         future: Future = Future()
         if cached is not None:
-            self._recorder.record_completion(time.perf_counter() - now, hit=True)
+            self._cache.count_hit()
+            self._recorder.record_completion(time.perf_counter() - now)
             future.set_result(thaw_response(cached))
             return future
         with self._lifecycle:
@@ -305,14 +304,12 @@ class ServeEngine:
 
         Used by the serving replica when new weights are hot-loaded:
         boxes computed by the old weights must not survive the swap.
-        The internal cache version is bumped so a batch that was already
+        The cache's version is bumped, so a batch that was already
         running its forward pass when the clear happened cannot insert
         its (old-weights) results afterwards — its waiters still get
         their boxes, but nothing enters the cache.
         """
-        with self._cache_lock:
-            self._cache.clear()
-            self._cache_version += 1
+        self._cache.bump()
 
     # ------------------------------------------------------------------
     # Worker
@@ -353,7 +350,8 @@ class ServeEngine:
 
     def _resolve(self, pending: _Pending, value, hit: bool) -> None:
         latency = time.perf_counter() - pending.enqueued
-        self._recorder.record_completion(latency, hit=hit)
+        self._cache.count_hit() if hit else self._cache.count_miss()
+        self._recorder.record_completion(latency)
         pending.future.set_result(thaw_response(value))
 
     @staticmethod
@@ -378,15 +376,13 @@ class ServeEngine:
 
     def _run_batch(self, batch: List[_Pending]) -> None:
         depth = self._queue.qsize()
-        with self._cache_lock:
-            cache_version = self._cache_version
+        version = self._cache.version
         # Re-check the cache at execution time (a request queued during a
         # burst may have been answered by an earlier batch by now) and
         # collapse identical in-flight requests onto one forward slot.
         groups: "dict[Tuple[str, str], List[_Pending]]" = {}
         for pending in batch:
-            with self._cache_lock:
-                cached = self._cache.get(pending.key, count=False)
+            cached = self._cache.get(pending.key, count=False)
             if cached is not None:
                 self._resolve(pending, cached, hit=True)
                 continue
@@ -406,13 +402,11 @@ class ServeEngine:
         finally:
             self._drain_compile_events()
         self._recorder.record_batch(len(samples), depth)
-        with self._cache_lock:
-            # A clear_cache() since this batch started (hot weight
-            # reload) means these results came from retired weights:
-            # serve the waiters, but keep the results out of the cache.
-            if self._cache_version == cache_version:
-                for key, value in zip(groups, values):
-                    self._cache.put(key, freeze_response(value))
+        # A clear_cache() since this batch started (hot weight reload)
+        # means these results came from retired weights: the versioned
+        # put refuses them, and the waiters are still served.
+        for key, value in zip(groups, values):
+            self._cache.put(key, freeze_response(value), version=version)
         for group, value in zip(groups.values(), values):
             # The first requester paid for the forward pass; in-flight
             # duplicates were deduplicated, which counts as cache service.

@@ -27,13 +27,13 @@ micro-batching :class:`~repro.serve.ServeEngine`, see
   weight checksum against the payload the router read itself.  The rest
   of the fleet keeps serving; no in-flight request is dropped.
 * **Router-tier response cache** — a
-  :class:`~repro.serve.shared_cache.SharedResponseCache` keyed on
-  ``(image_digest, query)`` answers repeats before admission (no pipe
-  round-trip, and hits survive replica respawns).  Every entry carries
-  a weights-epoch tag; a completed rolling reload bumps the epoch
-  (instantly unreaching every pre-reload box), a failed roll leaves the
-  old epoch valid, and responses dispatched under an older epoch are
-  refused insertion — stale results can neither be served nor stored.
+  :class:`~repro.utils.cache.VersionedLRU` keyed on
+  ``(model_id, image_digest, query)`` answers repeats before admission
+  (no pipe round-trip, and hits survive replica respawns).  Its version
+  is the *weights epoch*: a completed rolling reload bumps it (dropping
+  every pre-reload box at once), a failed roll leaves the old epoch
+  valid, and responses dispatched under an older epoch are refused
+  insertion — stale results can neither be served nor stored.
 
 Every counter and distribution is published as ``serve.fleet.*`` into a
 :class:`~repro.obs.MetricsRegistry`; :meth:`FleetRouter.stats` snapshots
@@ -57,12 +57,12 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.response import thaw_response
+from repro.core.response import freeze_response, thaw_response
 from repro.obs import MetricsRegistry
 from repro.runtime.retry import backoff_delay
 from repro.serve.cache import image_digest
-from repro.serve.shared_cache import SharedResponseCache
 from repro.text.tokenizer import normalize_query
+from repro.utils.cache import VersionedLRU
 from repro.serve.replica import (
     ReplicaSpec,
     _replica_entry,
@@ -320,7 +320,9 @@ class FleetRouter:
         self._slots: Dict[int, _Slot] = {}
         self._admission: "queue.Queue" = queue.Queue(
             maxsize=self.config.max_queue)
-        self._response_cache = SharedResponseCache(self.config.router_cache)
+        self._response_cache = VersionedLRU(
+            self.config.router_cache, registry=self.metrics,
+            prefix="serve.fleet.cache")
         self._retry_heap: List[Tuple[float, int, _FleetRequest]] = []
         self._seq = itertools.count()
         #: Last rolled checkpoint per model identity — respawned
@@ -345,10 +347,6 @@ class FleetRouter:
         self._m_latency = m.histogram("serve.fleet.latency_seconds")
         self._m_reload_s = m.histogram("serve.fleet.reload_seconds")
         self._m_depth = m.histogram("serve.fleet.replica_queue_depth")
-        self._m_cache_hits = m.counter("serve.fleet.cache.hits")
-        self._m_cache_misses = m.counter("serve.fleet.cache.misses")
-        self._m_cache_evictions = m.counter("serve.fleet.cache.evictions")
-        self._m_cache_epoch = m.gauge("serve.fleet.cache.epoch")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -520,7 +518,6 @@ class FleetRouter:
             key = (target, image_digest(image), query)
             cached = self._response_cache.get(key)
             if cached is not None:
-                self._m_cache_hits.inc()
                 self._m_completed.inc()
                 self._m_latency.observe(self._now() - enqueued)
                 # Defensive thaw: the stored value is shared by every
@@ -528,8 +525,7 @@ class FleetRouter:
                 # (ranked lists deep-copy their box and score arrays).
                 future.set_result(thaw_response(cached))
                 return future
-            self._m_cache_misses.inc()
-            epoch = self._response_cache.epoch
+            epoch = self._response_cache.version
         req = _FleetRequest(
             req_id=next(self._seq), image=image, query=query,
             deadline=float(deadline if deadline is not None
@@ -557,11 +553,6 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def response_cache(self) -> SharedResponseCache:
-        """The router-tier shared cache (capacity 0 when disabled)."""
-        return self._response_cache
-
     def alive_replicas(self) -> int:
         with self._lock:
             return sum(1 for slot in self._slots.values()
@@ -579,15 +570,7 @@ class FleetRouter:
     def stats(self) -> FleetStats:
         with self._lock:
             infos = tuple(self._slots[i].info() for i in sorted(self._slots))
-        cache = self._response_cache.stats()
-        # The shared cache is the counting authority; catch the registry
-        # counters/gauge up to it (hit/miss are also incremented live on
-        # the submit path — the deltas heal any divergence).
-        self._m_cache_hits.inc(cache.hits - self._m_cache_hits.value)
-        self._m_cache_misses.inc(cache.misses - self._m_cache_misses.value)
-        self._m_cache_evictions.inc(
-            cache.evictions - self._m_cache_evictions.value)
-        self._m_cache_epoch.set(cache.epoch)
+        cache = self._response_cache
         latencies = self._m_latency.values()
         p50, p95, p99 = (
             self.metrics.histogram("serve.fleet.latency_seconds")
@@ -610,7 +593,7 @@ class FleetRouter:
             cache_hits=cache.hits,
             cache_misses=cache.misses,
             cache_evictions=cache.evictions,
-            cache_epoch=cache.epoch,
+            cache_epoch=cache.version,
             replicas=infos,
         )
 
@@ -694,15 +677,14 @@ class FleetRouter:
             self.logger.log(f"replica {index} reloaded in {seconds:.3f}s")
         # Whole roll succeeded (each reloaded replica flushed its private
         # LRU before acking): advance the shared cache's weights epoch in
-        # one atomic step.  Every pre-reload entry is unreachable from
-        # this instant; a raise anywhere above skips the bump, leaving
+        # one atomic step.  Every pre-reload entry is dropped at this
+        # instant; a raise anywhere above skips the bump, leaving
         # the old epoch — still being served by the fleet — valid.  The
         # epoch is fleet-global, so in a heterogeneous fleet rolling one
         # model also evicts the *other* models' entries: deliberately
         # conservative (a cold cache is a latency cost; a stale answer
         # is a correctness bug).
-        epoch = self._response_cache.bump_epoch()
-        self._m_cache_epoch.set(epoch)
+        self._response_cache.bump()
         self._m_reloads.inc()
         report.wall_seconds = self._now() - started
         return report
@@ -874,8 +856,8 @@ class FleetRouter:
                         # roll completed while this response was in
                         # flight, the insert is refused — a pre-reload
                         # box never enters the post-reload cache.
-                        self._response_cache.put(req.key, box,
-                                                 epoch=req.epoch)
+                        self._response_cache.put(
+                            req.key, freeze_response(box), version=req.epoch)
                     self._finish(req, result=box)
             elif kind == "error":
                 _, req_id, detail = message

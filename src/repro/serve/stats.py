@@ -6,7 +6,9 @@ into an immutable :class:`ServerStats` report.  All distributions live
 in :mod:`repro.obs` metrics (``serve.*`` names in a
 :class:`~repro.obs.MetricsRegistry`), so quantile semantics are shared
 with the profiler and the Table-5 timing path, and external observers
-can read the same registry the engine publishes into.  Latency
+can read the same registry the engine publishes into.  The engine's
+response cache publishes its own ``serve.cache.*`` counters into that
+registry; the snapshot reads them from there.  Latency
 summarisation reuses :class:`repro.eval.timing.TimingReport`, so serving
 numbers are directly comparable with Table 5.
 """
@@ -22,6 +24,9 @@ import numpy as np
 
 from repro.eval.timing import TimingReport, summarize_latencies
 from repro.obs.metrics import MetricsRegistry
+
+#: Registry prefix of the engine's response-cache counters.
+CACHE_PREFIX = "serve.cache"
 
 
 @dataclass(frozen=True)
@@ -53,12 +58,7 @@ class ServerStats:
 
     @property
     def cache_hit_rate(self) -> float:
-        """Hit fraction over the cache-sourced hit/miss tallies.
-
-        ``cache_hits``/``cache_misses`` are read from the
-        :class:`~repro.serve.cache.LRUCache` itself (the single counting
-        authority), so this rate cannot drift from the cache's own view.
-        """
+        """Hit fraction over the cache's own hit/miss counters."""
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
 
@@ -124,24 +124,20 @@ class StatsRecorder:
     registry unless one is injected, in which case the engine's numbers
     appear alongside whatever else that registry tracks.
 
-    When a ``cache`` (:class:`~repro.serve.cache.LRUCache`) is attached,
-    the cache is the counting authority for hits and misses:
-    :meth:`record_completion` credits the cache's tallies (keeping the
-    ``serve.cache_hits``/``serve.cache_misses`` registry counters in
-    lockstep for external observers) and :meth:`snapshot` reads the
-    cache's numbers back, so the engine's hit-rate can never drift from
-    the cache's own view.
+    Cache hits, misses and evictions are not recorded here: the engine's
+    :class:`~repro.utils.cache.VersionedLRU` counts them into the same
+    registry under :data:`CACHE_PREFIX`, and :meth:`snapshot` and
+    :meth:`reset` act on those counters in place.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 cache=None):
+    def __init__(self, registry: Optional[MetricsRegistry] = None):
         self._lock = threading.Lock()
-        self._cache = cache
         self.registry = registry if registry is not None else MetricsRegistry()
         self._requests = self.registry.counter("serve.requests")
         self._completed = self.registry.counter("serve.completed")
-        self._hits = self.registry.counter("serve.cache_hits")
-        self._misses = self.registry.counter("serve.cache_misses")
+        self._hits = self.registry.counter(f"{CACHE_PREFIX}.hits")
+        self._misses = self.registry.counter(f"{CACHE_PREFIX}.misses")
+        self._evictions = self.registry.counter(f"{CACHE_PREFIX}.evictions")
         self._latencies = self.registry.histogram("serve.latency_seconds")
         self._batch_sizes = self.registry.histogram("serve.batch_size")
         self._queue_depths = self.registry.histogram("serve.queue_depth")
@@ -153,13 +149,12 @@ class StatsRecorder:
         """Reset the engine's own metrics (other registry entries stay)."""
         with self._lock:
             for metric in (self._requests, self._completed, self._hits,
-                           self._misses, self._latencies, self._batch_sizes,
-                           self._queue_depths, self._compile_ms):
+                           self._misses, self._evictions, self._latencies,
+                           self._batch_sizes, self._queue_depths,
+                           self._compile_ms):
                 metric.reset()
             self._first_request = 0.0
             self._last_completion = 0.0
-            if self._cache is not None:
-                self._cache.reset_stats()
 
     def record_request(self) -> None:
         now = time.perf_counter()
@@ -168,15 +163,10 @@ class StatsRecorder:
                 self._first_request = now
             self._requests.inc()
 
-    def record_completion(self, latency: float, hit: bool) -> None:
+    def record_completion(self, latency: float) -> None:
         now = time.perf_counter()
         with self._lock:
             self._completed.inc()
-            (self._hits if hit else self._misses).inc()
-            if self._cache is not None:
-                # The cache is the counting authority; the registry
-                # counters above mirror it for external observers.
-                self._cache.count_hit() if hit else self._cache.count_miss()
             self._latencies.observe(latency)
             self._last_completion = now
 
@@ -196,12 +186,8 @@ class StatsRecorder:
             batch_sizes = self._batch_sizes.values()
             depths = self._queue_depths.values()
             requests, completed = self._requests.value, self._completed.value
-            if self._cache is not None:
-                hits, misses = self._cache.hits, self._cache.misses
-                evictions = self._cache.evictions
-            else:
-                hits, misses = self._hits.value, self._misses.value
-                evictions = 0
+            hits, misses = self._hits.value, self._misses.value
+            evictions = self._evictions.value
             compile_ms = self._compile_ms.values()
             wall = max(0.0, self._last_completion - self._first_request)
         timing = summarize_latencies(latencies)

@@ -293,6 +293,54 @@ class TestRouterCache:
         # the hit never reached a replica
         assert sum(r["served"] for r in stats.replicas) == 1
 
+    def test_router_stores_read_only_copies(self):
+        """The router freezes each response before ``put``: the stored
+        value is a read-only copy, not the box handed to the caller."""
+        samples = make_samples(1)
+        cfg = FleetConfig(replicas=1, max_queue=16, default_deadline=20.0,
+                          router_cache=32)
+        with FleetRouter(latency_spec(), cfg) as router:
+            assert router.wait_healthy(60.0)
+            first = router.ground(samples[0].image, samples[0].query)
+            first[:] = -1.0
+            (stored,) = router._response_cache._entries.values()
+        assert stored[0] == pytest.approx(float(samples[0].image.sum()))
+        with pytest.raises(ValueError):
+            stored[0] = 99.0
+
+    def test_registry_cache_counters_never_run_backwards(self):
+        """``serve.fleet.cache.*`` is the cache's own tally: a ``stats()``
+        call landing right after a counted hit cannot push the registry
+        counter past ``FleetStats``, nor a later ``stats()`` pull it back."""
+        samples = make_samples(1)
+        cfg = FleetConfig(replicas=2, max_queue=32, default_deadline=20.0,
+                          router_cache=32)
+        with FleetRouter(latency_spec(), cfg) as router:
+            assert router.wait_healthy(60.0)
+            cache = router._response_cache
+            counted_get = cache.get
+
+            def get_then_stats(*args, **kwargs):
+                value = counted_get(*args, **kwargs)
+                router.stats()  # lands between the count and submit's end
+                return value
+
+            cache.get = get_then_stats
+            names = ("serve.fleet.cache.hits", "serve.fleet.cache.misses")
+            readings = []
+            for _ in range(3):
+                router.ground(samples[0].image, samples[0].query)
+                before = tuple(router.metrics.counter(n).value for n in names)
+                stats = router.stats()
+                assert before == (stats.cache_hits, stats.cache_misses)
+                readings.append(before)
+                readings.append(tuple(router.metrics.counter(n).value
+                                      for n in names))
+        for name_index in range(len(names)):
+            series = [reading[name_index] for reading in readings]
+            assert series == sorted(series), (names[name_index], series)
+        assert (stats.cache_hits, stats.cache_misses) == (2, 1)
+
     def test_query_variants_share_entries_across_tiers(self):
         """Whitespace/case variants of one query normalise at the router
         front door: one router-cache entry, one replica round trip.

@@ -456,7 +456,7 @@ class TestPlanCache:
         # is actually collectable — the cache keeps no hidden reference.
         assert evicted() is None
         retained = sum(
-            plan.arena_bytes for plan in cache._plans.values()
+            plan.arena_bytes for plan in cache._entries.values()
         )
         assert retained == small.arena_bytes
         assert f"{small.arena_bytes / 1024:.1f} KiB" in small.describe()

@@ -1,4 +1,4 @@
-"""Serving engine: micro-batching, LRU cache, telemetry, traces."""
+"""Serving engine: micro-batching, response cache, telemetry, traces."""
 
 import threading
 import time
@@ -11,7 +11,6 @@ from repro.data import REFCOCO, build_dataset
 from repro.serve import (
     EngineDrainTimeout,
     EngineStopped,
-    LRUCache,
     ServeEngine,
     ServerStats,
     TraceRequest,
@@ -61,32 +60,50 @@ def tiny_grounder():
 
 
 # ----------------------------------------------------------------------
-# LRU cache
+# Engine response cache (LRU over (image digest, query) keys)
 # ----------------------------------------------------------------------
 class TestLRUCache:
     def test_put_get_roundtrip(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        assert cache.get("a") == 1 and "a" in cache
+        stub = StubGrounder()
+        with ServeEngine(stub, cache_size=2) as engine:
+            first = engine.ground(make_image(1), "q", timeout=10)
+            second = engine.ground(make_image(1), "q", timeout=10)
+            stats = engine.stats()
+        np.testing.assert_array_equal(first, second)
+        assert stub.batches == [1]
+        assert (stats.cache_hits, stats.cache_misses) == (1, 1)
 
     def test_eviction_is_least_recently_used(self):
-        cache = LRUCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh "a": "b" is now coldest
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.evictions == 1
+        stub = StubGrounder()
+        with ServeEngine(stub, cache_size=2) as engine:
+            def ask(value):
+                return engine.ground(make_image(value), "q", timeout=10)
+
+            ask(1)
+            ask(2)
+            ask(1)  # hit refreshes 1: 2 is now coldest
+            ask(3)  # evicts 2
+            ask(3)
+            ask(1)
+            assert len(stub.batches) == 3, "1 or 3 was evicted instead of 2"
+            ask(2)  # miss: 2 was evicted; storing it evicts 3
+            stats = engine.stats()
+        assert len(stub.batches) == 4
+        assert (stats.cache_hits, stats.cache_misses) == (3, 4)
+        assert stats.cache_evictions == 2
 
     def test_zero_capacity_disables(self):
-        cache = LRUCache(0)
-        cache.put("a", 1)
-        assert cache.get("a") is None and len(cache) == 0
+        stub = StubGrounder()
+        with ServeEngine(stub, cache_size=0) as engine:
+            engine.ground(make_image(1), "q", timeout=10)
+            engine.ground(make_image(1), "q", timeout=10)
+            stats = engine.stats()
+        assert stub.batches == [1, 1]
+        assert stats.cache_hits == 0 and len(engine._cache) == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            LRUCache(-1)
+            ServeEngine(StubGrounder(), cache_size=-1)
 
     def test_image_digest_content_sensitive(self):
         a = make_image(1.0)
@@ -390,10 +407,10 @@ class TestClearCache:
             engine.ground(image, "q", timeout=10)
             engine.ground(image, "q", timeout=10)
             stats = engine.stats()
-        # LRUCache is the counting authority; the registry mirrors it.
-        assert stats.cache_hits == registry.counter("serve.cache_hits").value
+        # The cache counts straight into the registry; stats read it back.
+        assert stats.cache_hits == registry.counter("serve.cache.hits").value
         assert stats.cache_misses \
-            == registry.counter("serve.cache_misses").value
+            == registry.counter("serve.cache.misses").value
         assert stats.cache_evictions == 0
 
 
@@ -621,7 +638,7 @@ class TestServeMetrics:
             engine.ground(make_image(1), "a", timeout=10)  # cache hit
         assert engine.metrics is registry
         assert registry.counter("serve.requests").value == 2
-        assert registry.counter("serve.cache_hits").value == 1
+        assert registry.counter("serve.cache.hits").value == 1
         assert registry.histogram("serve.latency_seconds").count == 2
         snap = registry.snapshot()
         assert snap["serve.latency_seconds"]["count"] == 2
@@ -639,7 +656,7 @@ class TestServeMetrics:
         latencies = [0.010, 0.020, 0.030, 0.500]
         for latency in latencies:
             recorder.record_request()
-            recorder.record_completion(latency, hit=False)
+            recorder.record_completion(latency)
         stats = recorder.snapshot()
         p50, p95, p99 = percentiles(latencies, (50.0, 95.0, 99.0))
         assert stats.latency_p50 == p50
