@@ -73,19 +73,18 @@ def _timed(grounder, sample):
 
 
 def test_zoo_matrix_and_heterogeneous_soak(results_dir):
-    lines = [
-        f"Model zoo matrix (synthetic RefCOCO @ scale {MATRIX_SCALE}, "
-        f"{TRAIN_EPOCHS} epoch, {EVAL_SAMPLES} val samples, "
-        f"best of {LATENCY_REPEATS} single-query timings)",
-        f"  {'preset':<20} {'ACC@0.5':>8} {'MIoU':>7} "
-        f"{'eager ms':>9} {'compiled ms':>12} {'speedup':>8}",
-    ]
-
     seed_everything(SEED)
     dataset = build_dataset(REFCOCO.scaled(MATRIX_SCALE))
     maxlen = max(8, dataset.max_query_length)
     val = list(dataset["val"])[:EVAL_SAMPLES]
     assert val, "scaled dataset produced no validation samples"
+    lines = [
+        f"Model zoo matrix (synthetic RefCOCO @ scale {MATRIX_SCALE}, "
+        f"{TRAIN_EPOCHS} epoch, n={len(val)} val samples, "
+        f"best of {LATENCY_REPEATS} single-query timings)",
+        f"  {'preset':<20} {'ACC@0.5':>8} {'MIoU':>7} "
+        f"{'eager ms':>9} {'compiled ms':>12} {'speedup':>8}",
+    ]
     boxes_by_preset = {}
 
     for name in available_presets(tier="fast"):

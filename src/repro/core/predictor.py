@@ -24,7 +24,8 @@ class Grounder:
     masks to the model's clause-conditioned Rel2Att path.  Queries that
     compile to the flat fallback (trivial or single-clause trees) run
     the unchanged flat path, so turning the flag on never perturbs
-    simple queries.
+    simple queries.  A compiled grounder runs both kinds through plans:
+    the clause masks are a plan input, keyed by their shape.
     """
 
     def __init__(self, model: YolloModel, vocab: Vocabulary,

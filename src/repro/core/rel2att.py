@@ -79,6 +79,32 @@ def _attention_normalizers(
     )
 
 
+def _clause_arrays(
+    clause_masks: np.ndarray, token_mask: Optional[np.ndarray], num_tokens: int
+) -> Tuple[np.ndarray, ...]:
+    """Every numpy array the clause-conditioned pooling derives from masks.
+
+    For ``C`` clauses returns a flat tuple: ``C`` per-clause token rows
+    ``(B, n)`` (clause mask times the PAD mask), ``C`` active flags
+    ``(B, 1)``, then the image-side divisor ``(B, 1)`` (active clause
+    count), the text-side divisor ``(B, n)`` (per-token coverage), the
+    ``>= 2``-active-clause gate ``(B, 1)`` and its complement.  Kept as
+    one plain numpy function so the graph tracer records the masks as a
+    run-time input of a single node: flat, so every leaf gets its own
+    ``tuple_get``.
+    """
+    batch, num_clauses = clause_masks.shape[:2]
+    base_mask = token_mask if token_mask is not None \
+        else np.ones((batch, num_tokens))
+    rows = [clause_masks[:, index] * base_mask for index in range(num_clauses)]
+    acts = [(row.sum(axis=1) > 0).astype(np.float64)[:, None] for row in rows]
+    coverage = sum(rows, np.zeros((batch, num_tokens)))
+    active = sum(acts, np.zeros((batch, 1)))
+    conditioned = (active >= 2.0).astype(np.float64)
+    return (*rows, *acts, np.maximum(active, 1.0),
+            np.maximum(coverage, 1.0), conditioned, 1.0 - conditioned)
+
+
 class Rel2AttModule(Module):
     """One Rel2Att block: relation map -> attention masks -> re-weighting."""
 
@@ -196,39 +222,35 @@ class Rel2AttModule(Module):
         are averaged over a sample's active clauses and the text-side
         vectors summed with per-token normalisation (a token attended by
         two clauses is not double-counted).  Samples with fewer than two
-        active clauses keep their flat attention unchanged.
+        active clauses keep their flat attention unchanged.  Control
+        flow depends only on the number of clauses, so a compiled plan
+        replays this for any masks of the same shape.
         """
-        batch = clause_masks.shape[0]
-        base_mask = token_mask if token_mask is not None \
-            else np.ones((batch, n))
+        batch, num_clauses = clause_masks.shape[:2]
+        if num_clauses == 0:
+            return att_flat
+        arrays = _clause_arrays(clause_masks, token_mask, n)
+        rows, acts = arrays[:num_clauses], arrays[num_clauses:2 * num_clauses]
+        active_div, coverage_div, conditioned, unconditioned = \
+            arrays[2 * num_clauses:]
         att_v_sum: Optional[Tensor] = None
         att_t_sum: Optional[Tensor] = None
-        coverage = np.zeros((batch, n))
-        active = np.zeros(batch)
-        for index in range(clause_masks.shape[1]):
-            row = clause_masks[:, index] * base_mask  # (B, n)
-            act = (row.sum(axis=1) > 0).astype(np.float64)
-            if not act.any():
-                continue
+        for row, act in zip(rows, acts):
+            # An empty row yields exact zeros: its divisors clamp at 1.
             weights = _relation_weight_mask(
                 batch, m, n, row,
                 self.config.use_self_attention,
                 self.config.use_co_attention,
             )
             att_c = self._attention_scores(relation, weights, m)
-            term_v = att_c[:, :m] * Tensor(act[:, None])
+            term_v = att_c[:, :m] * Tensor(act)
             term_t = att_c[:, m:] * Tensor(row)
             att_v_sum = term_v if att_v_sum is None else att_v_sum + term_v
             att_t_sum = term_t if att_t_sum is None else att_t_sum + term_t
-            coverage += row
-            active += act
-        conditioned = (active >= 2.0).astype(np.float64)[:, None]  # (B, 1)
-        if att_v_sum is None or not conditioned.any():
-            return att_flat
-        att_v = att_v_sum / Tensor(np.maximum(active, 1.0)[:, None])
-        att_t = att_t_sum / Tensor(np.maximum(coverage, 1.0))
+        att_v = att_v_sum / Tensor(active_div)
+        att_t = att_t_sum / Tensor(coverage_div)
         att_clause = concatenate([att_v, att_t], axis=1)
-        return (att_flat * Tensor(1.0 - conditioned)
+        return (att_flat * Tensor(unconditioned)
                 + att_clause * Tensor(conditioned))
 
 

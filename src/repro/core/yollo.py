@@ -76,8 +76,9 @@ class YolloModel(Module):
         bit-exact against the trace at build time) but runs the forward
         pass through a :class:`repro.graph.ExecutionPlan` — constant
         folding, BatchNorm folding, epilogue fusion, and arena buffer
-        reuse — compiled lazily per input shape ``(B, H, W, L)`` and
-        cached in a :class:`repro.graph.PlanCache`.
+        reuse — compiled lazily per input shape ``(B, H, W, L)`` (plus
+        the clause-mask shape ``(C, L)``, since clause masks are a plan
+        input) and cached in a :class:`repro.graph.PlanCache`.
         """
         from repro.graph import PlanCache
 
@@ -95,16 +96,19 @@ class YolloModel(Module):
         return getattr(self, "_plan_cache", None)
 
     def _plan_key(self, images: np.ndarray, token_ids: np.ndarray,
-                  token_mask: Optional[np.ndarray]) -> tuple:
+                  token_mask: Optional[np.ndarray],
+                  clause_masks: Optional[np.ndarray]) -> tuple:
         return (
             tuple(images.shape),
             tuple(token_ids.shape),
             token_mask is None,
+            None if clause_masks is None else tuple(clause_masks.shape[1:]),
             str(np.asarray(images).dtype),
         )
 
     def _compiled_forward(self, images: np.ndarray, token_ids: np.ndarray,
-                          token_mask: Optional[np.ndarray]) -> YolloOutput:
+                          token_mask: Optional[np.ndarray],
+                          clause_masks: Optional[np.ndarray]) -> YolloOutput:
         """Run ``forward`` through a cached execution plan (eval only).
 
         On a cache miss the forward pass is traced, optimised, and
@@ -117,14 +121,14 @@ class YolloModel(Module):
         from repro.graph import ExecutionPlan, optimize_graph, trace
 
         cache = self._plan_cache
-        key = self._plan_key(images, token_ids, token_mask)
+        key = self._plan_key(images, token_ids, token_mask, clause_masks)
         version = cache.version
         plan = cache.get(key)
         if plan is None:
             start = _time.perf_counter()
             traced = trace(
                 self.forward, Tensor(images), token_ids, token_mask,
-                name="yollo.forward",
+                clause_masks, name="yollo.forward",
             )
             optimize_graph(traced.graph)
             plan = ExecutionPlan(traced)
@@ -134,7 +138,8 @@ class YolloModel(Module):
         # Keep the eager span name so model-time attribution (e.g.
         # eval.timing MODEL_SPANS) sees compiled runs as forward time.
         with trace_span("yollo.forward"):
-            return plan.run(Tensor(images), token_ids, token_mask)
+            return plan.run(Tensor(images), token_ids, token_mask,
+                            clause_masks)
 
     def train(self, mode: bool = True) -> "YolloModel":
         # Plans bake eval-mode state (BN running stats fold to
@@ -182,18 +187,13 @@ class YolloModel(Module):
         practice): an anchor hanging off the image decodes to a clipped
         sliver, and its classification score is weakly supervised, so
         letting it win produces degenerate boxes.
-
-        Clause-conditioned batches (``clause_masks`` not ``None``) always
-        run eager: compiled plans are traced over the three-argument
-        forward, and clause masks vary per query in ways a shape-keyed
-        plan cache cannot capture.
         """
         was_training = self.training
         self.eval()
         with no_grad():
-            if clause_masks is None \
-                    and getattr(self, "_plan_cache", None) is not None:
-                output = self._compiled_forward(images, token_ids, token_mask)
+            if self.plan_cache is not None:
+                output = self._compiled_forward(images, token_ids, token_mask,
+                                                clause_masks)
             else:
                 output = self.forward(Tensor(images), token_ids, token_mask,
                                       clause_masks)

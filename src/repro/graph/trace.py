@@ -13,9 +13,13 @@ cover what the op tables cannot see:
   stay connected to their producing node ("alias" when the array is
   adopted as-is, a ``cast`` node when ``__init__`` copies to the default
   dtype).
-- A registry of *external* numpy helpers (``rel2att._relation_weight_mask``
-  and friends) records data-dependent pure-numpy computations as single
-  opaque nodes; tuple returns get per-element ``tuple_get`` nodes.
+- A registry of *external* numpy helpers (``rel2att._relation_weight_mask``,
+  ``rel2att._clause_arrays`` and friends) records data-dependent
+  pure-numpy computations as single opaque nodes; tuple returns get
+  per-element ``tuple_get`` nodes.  Numpy work on a traced array outside
+  such a helper (indexing, arithmetic) is not recorded and would be
+  baked into the plan as a constant, so every mask-derived array a
+  forward pass needs must come out of a registered helper.
 - Untracked tensors and arrays reaching a traced op (parameters, BN
   running-stat reshapes, python scalars) are lifted to ``constant``
   nodes on first use.
@@ -54,6 +58,7 @@ from repro.graph.ir import Graph, Node, Slot
 _EXTERNAL_FUNCTIONS: Tuple[Tuple[str, str, str], ...] = (
     ("repro.core.rel2att", "_relation_weight_mask", "rel2att.weight_mask"),
     ("repro.core.rel2att", "_attention_normalizers", "rel2att.att_normalizers"),
+    ("repro.core.rel2att", "_clause_arrays", "rel2att.clause_arrays"),
     ("repro.core.word2pix", "_word_mask_arrays", "word2pix.mask_arrays"),
 )
 

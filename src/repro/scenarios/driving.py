@@ -32,6 +32,7 @@ import numpy as np
 from repro.data.render import render_scene
 from repro.data.scenes import COLORS, Scene, SceneObject
 from repro.detection.boxes import iou_matrix
+from repro.lang.semantics import _apply_depth, _apply_ordinal
 from repro.scenarios.registry import (
     Scenario,
     ScenarioSample,
@@ -113,54 +114,19 @@ class DrivingConstraints:
             candidates = [o for o in candidates
                           if ego_side(o, scene) == self.side]
         if self.relation is not None and candidates:
-            candidates = self._apply_relation(scene, candidates)
+            # The anchor must be unique by category+colour; the depth
+            # rule itself is the parser-side one in ``lang.semantics``.
+            anchors = [
+                o for o in scene.objects
+                if o.category == self.anchor_category
+                and (self.anchor_color is None or o.color == self.anchor_color)
+            ]
+            candidates = (_apply_depth(self.relation, candidates,
+                                       anchors[0], scene)
+                          if len(anchors) == 1 else [])
         if self.ordinal is not None and candidates:
-            candidates = self._apply_ordinal(scene, candidates)
+            candidates = _apply_ordinal(self.ordinal, candidates, scene)
         return candidates
-
-    def _apply_relation(self, scene: Scene,
-                        candidates: List[SceneObject]) -> List[SceneObject]:
-        anchors = [
-            o for o in scene.objects
-            if o.category == self.anchor_category
-            and (self.anchor_color is None or o.color == self.anchor_color)
-        ]
-        if len(anchors) != 1:
-            return []
-        anchor_dist = ego_distance(anchors[0], scene)
-        if self.relation == "past":
-            kept = [o for o in candidates if o is not anchors[0]
-                    and ego_distance(o, scene) > anchor_dist + _DEPTH_MARGIN]
-        else:  # "before"
-            kept = [o for o in candidates if o is not anchors[0]
-                    and ego_distance(o, scene) < anchor_dist - _DEPTH_MARGIN]
-        if not kept:
-            return []
-        # The nearest satisfier to the anchor's depth wins (and must win
-        # by the same margin, or the reference is ambiguous).
-        gaps = [abs(ego_distance(o, scene) - anchor_dist) for o in kept]
-        order = np.argsort(gaps)
-        if len(kept) > 1 and gaps[order[1]] - gaps[order[0]] < _DEPTH_MARGIN:
-            return []
-        return [kept[int(order[0])]]
-
-    def _apply_ordinal(self, scene: Scene,
-                       candidates: List[SceneObject]) -> List[SceneObject]:
-        rank = self.ordinal - 1
-        if rank < 0 or rank >= len(candidates):
-            return []
-        distances = np.asarray(
-            [ego_distance(o, scene) for o in candidates])
-        order = np.argsort(distances)
-        ordered = distances[order]
-        # Ranks must be separated by a real gap on both sides, so a
-        # pixel of jitter cannot swap "second" and "third".
-        if rank > 0 and ordered[rank] - ordered[rank - 1] < _ORDINAL_GAP:
-            return []
-        if rank + 1 < len(ordered) \
-                and ordered[rank + 1] - ordered[rank] < _ORDINAL_GAP:
-            return []
-        return [candidates[int(order[rank])]]
 
 
 class DrivingSceneGenerator:

@@ -18,6 +18,7 @@ from repro.graph import (
     optimize_graph,
     trace,
 )
+from repro.lang import clause_token_masks, pad_clause_masks, parse
 from repro.nn.norm import BatchNorm2d
 from repro.utils import seed_everything
 
@@ -28,11 +29,12 @@ def dataset():
     return build_dataset(REFCOCO.scaled(0.04))
 
 
-def make_model(dataset, backbone="tiny"):
+def make_model(dataset, backbone="tiny", max_query_length=None):
     seed_everything(31)
     cfg = YolloConfig(
         backbone=backbone, d_model=12, d_rel=16, ffn_hidden=16, head_hidden=16,
-        num_rel2att=2, max_query_length=max(6, dataset.max_query_length),
+        num_rel2att=2,
+        max_query_length=max_query_length or max(6, dataset.max_query_length),
         batch_size=4,
     )
     model = YolloModel(cfg, vocab_size=len(dataset.vocab))
@@ -494,6 +496,41 @@ class TestCompiledPredict:
         model.compile()
         compiled = model.predict(batch["images"], batch["token_ids"], None)
         assert_predictions_bitwise_equal(eager, compiled)
+
+    @staticmethod
+    def _clause_batch(dataset, cfg, queries):
+        length = cfg.max_query_length
+        ids, masks = zip(*(dataset.vocab.encode(q, length) for q in queries))
+        clause_masks = pad_clause_masks(
+            [clause_token_masks(parse(q), length) for q in queries], length)
+        images = np.stack([s.image for s in dataset["val"][:len(queries)]])
+        return images, np.stack(ids), np.stack(masks), clause_masks
+
+    def test_compiled_clause_batches_match_eager_bitwise(self, dataset):
+        """Clause masks are plan inputs: one plan per ``(B, C)`` replays
+        fresh masks bit-exactly, flat and padded rows included."""
+        model, cfg = make_model(dataset, max_query_length=10)
+        batches = [self._clause_batch(dataset, cfg, queries) for queries in (
+            # A flat sample (all-zero rows) beside a four-row sample.
+            ("the red ball",
+             "the dog next to the car next to the lamp next to the ball"),
+            # A three-row sample padded with an empty fourth row.
+            ("a cat left of a dog left of a car left of a ball",
+             "the cat left of the dog that is above the car"),
+        )]
+        first, second = batches[0][3], batches[1][3]
+        assert first.shape == second.shape == (2, 4, 10)
+        assert not first[0].any()
+        assert second[0, 3].any() and not second[1, 3].any()
+        eager = [model._predict_arrays(*batch) for batch in batches]
+        model.compile()
+        for batch, expected in zip(batches, eager):
+            lookups = model.plan_cache.stats()["lookups"]
+            compiled = model._predict_arrays(*batch)
+            assert model.plan_cache.stats()["lookups"] == lookups + 1
+            for left, right in zip(expected, compiled):
+                assert left.tobytes() == right.tobytes()
+        assert model.plan_cache.stats()["compiles"] == 1
 
     def test_distinct_batch_shapes_compile_distinct_plans(self, dataset):
         model, cfg = make_model(dataset)
