@@ -760,7 +760,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="fraction of requests repeating earlier ones")
     serve_bench.add_argument("--max-batch", type=int, default=16)
     serve_bench.add_argument("--max-wait", type=float, default=0.002,
-                             help="seconds to wait for batch stragglers")
+                             help="most seconds to wait for batch stragglers "
+                                  "under backlog (an idle engine runs a "
+                                  "lone request at once)")
     serve_bench.add_argument("--cache-size", type=int, default=256,
                              help="LRU result-cache entries (0 disables)")
     serve_bench.add_argument("--compiled", action="store_true",

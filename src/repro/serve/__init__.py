@@ -1,11 +1,13 @@
 """Serving layer: micro-batched, cached, fault-tolerant grounding inference.
 
 ``ServeEngine`` queues incoming (image, query) requests, batches them
-dynamically (up to ``max_batch`` requests or ``max_wait`` seconds), runs
-one ``no_grad`` forward per batch through any grounder implementing the
-batch protocol, and answers repeats from a response cache.  ``ServerStats``
-reports p50/p95/p99 latency, throughput, queue depth, cache hit rate,
-and the batch-size histogram.
+dynamically (up to ``max_batch`` requests; under backlog the worker
+waits at most ``max_wait`` seconds for stragglers, while an idle worker
+runs a lone request at once), runs one ``no_grad`` forward per batch
+through any grounder implementing the batch protocol, and answers
+repeats from a response cache.  ``ServerStats`` reports p50/p95/p99
+latency, throughput, queue depth, cache hit rate, and the batch-size
+histogram.
 
 ``FleetRouter`` scales that engine out: N replica subprocesses behind a
 least-loaded router with bounded-queue backpressure (typed

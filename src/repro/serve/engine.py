@@ -1,9 +1,12 @@
 """Micro-batching inference engine — the serving layer over any grounder.
 
 Requests enter a queue; a worker thread collects up to ``max_batch`` of
-them (waiting at most ``max_wait`` seconds after the first arrival) and
-runs ONE batched forward pass under ``no_grad`` through the wrapped
-grounder.  Repeated (image, query) pairs are answered from a
+them and runs ONE batched forward pass under ``no_grad`` through the
+wrapped grounder.  Batching is work-conserving: a request that finds the
+worker idle runs at once, and the worker holds the window (at most
+``max_wait`` seconds after the first request) only under backlog, when
+requests queued up while the previous batch was in flight.  Repeated
+(image, query) pairs are answered from a
 :class:`~repro.utils.cache.VersionedLRU` without touching the model at
 all; the cache counts its own hits and misses into the engine's
 registry (``serve.cache.*``).  Every request's latency, every
@@ -106,10 +109,12 @@ class ServeEngine:
     max_batch:
         Largest batch one forward pass may carry.
     max_wait:
-        Seconds the worker waits after the first queued request for
-        stragglers before running a partial batch.  Zero still batches
-        whatever has already accumulated in the queue (burst traffic
-        fills batches without ever sleeping).
+        Upper bound, in seconds, on the batching window: under backlog
+        the worker waits at most this long after the first queued
+        request for stragglers before running a partial batch.  An idle
+        worker never waits; it runs whatever is queued at once.  Zero
+        still batches whatever has already accumulated in the queue
+        (burst traffic fills batches without ever sleeping).
     cache_size:
         LRU entries for (image digest, query) -> box; 0 disables.
     metrics:
@@ -245,7 +250,6 @@ class ServeEngine:
         :class:`EngineStopped` instead of racing the shutdown sentinel.
         """
         now = time.perf_counter()
-        self._recorder.record_request()
         # Normalise once at the front door: whitespace/case/punctuation
         # variants of the same query share one cache entry (and one
         # model pass) in every tier downstream.
@@ -256,6 +260,7 @@ class ServeEngine:
         cached = self._cache.get(key, count=False)
         future: Future = Future()
         if cached is not None:
+            self._recorder.record_request()
             self._cache.count_hit()
             self._recorder.record_completion(time.perf_counter() - now)
             future.set_result(thaw_response(cached))
@@ -263,6 +268,7 @@ class ServeEngine:
         with self._lifecycle:
             if self._stopping:
                 raise EngineStopped("engine is stopping; request rejected")
+            self._recorder.record_request()
             self.start()
             self._queue.put(_Pending(_make_sample(image, query), key, future, now))
         return future
@@ -315,9 +321,17 @@ class ServeEngine:
     # Worker
     # ------------------------------------------------------------------
     def _collect_batch(self, first: _Pending) -> Tuple[List[_Pending], bool]:
-        """Gather up to ``max_batch`` requests, waiting at most ``max_wait``."""
+        """Gather up to ``max_batch`` requests behind ``first``.
+
+        Work-conserving: the worker holds the window (at most
+        ``max_wait``) only under backlog, i.e. when other requests were
+        already queued behind ``first`` because they arrived while the
+        previous batch was in flight.  An idle worker takes whatever is
+        queued without waiting, so a lone request runs at once.
+        """
         batch = [first]
-        deadline = time.perf_counter() + self.max_wait
+        window = self.max_wait if self._queue.qsize() else 0.0
+        deadline = time.perf_counter() + window
         keep_running = True
         while len(batch) < self.max_batch:
             remaining = deadline - time.perf_counter()

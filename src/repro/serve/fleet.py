@@ -714,14 +714,30 @@ class FleetRouter:
     def _now(self) -> float:
         return time.monotonic()
 
-    def _next_request(self) -> Optional[_FleetRequest]:
+    def _due_retry(self) -> Optional[_FleetRequest]:
         with self._lock:
             if self._retry_heap and self._retry_heap[0][0] <= self._now():
                 return heapq.heappop(self._retry_heap)[2]
+        return None
+
+    def _next_request(self) -> Optional[_FleetRequest]:
+        """A retry whose backoff has expired, else a newly admitted request.
+
+        The admission wait ends no later than the next retry is due, so
+        an idle router dispatches a retry on time instead of up to one
+        poll interval late.
+        """
+        req = self._due_retry()
+        if req is not None:
+            return req
+        with self._lock:
+            wait = 0.01
+            if self._retry_heap:
+                wait = min(wait, self._retry_heap[0][0] - self._now())
         try:
-            return self._admission.get(timeout=0.01)
+            return self._admission.get(timeout=max(wait, 0.0))
         except queue.Empty:
-            return None
+            return self._due_retry()
 
     def _dispatch_loop(self) -> None:
         while not self._closing.is_set():

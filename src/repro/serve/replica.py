@@ -189,6 +189,8 @@ class ReplicaSpec:
     #: this, so two presets can never cross-serve each other's answers.
     model_id: str = ""
     max_batch: int = 8
+    #: Upper bound on the engine's batching window, held only under
+    #: backlog; an idle replica runs a lone request at once.
     max_wait: float = 0.002
     cache_size: int = 256
     heartbeat_interval: float = 0.05

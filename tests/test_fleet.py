@@ -135,6 +135,25 @@ class TestFleetConfig:
 # ----------------------------------------------------------------------
 # Live fleets (spawned subprocess replicas)
 # ----------------------------------------------------------------------
+class TestRetryDispatch:
+    def test_retry_is_dispatched_when_due_on_an_idle_router(self):
+        # White-box, no replicas: a retry whose backoff expires while
+        # the dispatch loop waits on an empty admission queue must come
+        # out of that same wait, not one poll interval later.
+        import heapq
+        from concurrent.futures import Future
+
+        from repro.serve.fleet import _FleetRequest
+
+        router = FleetRouter(latency_spec(), FleetConfig(replicas=1))
+        req = _FleetRequest(req_id=0, image=np.zeros((2, 2, 3)),
+                            query="retry", deadline=1.0, future=Future(),
+                            enqueued=router._now())
+        heapq.heappush(router._retry_heap, (router._now() + 0.001, 0, req))
+        assert router._next_request() is req
+        assert router._retry_heap == []
+
+
 @pytest.mark.dist
 class TestFleetServing:
     def test_requests_route_and_all_resolve(self):

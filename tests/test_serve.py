@@ -144,6 +144,32 @@ class TestServeEngine:
         assert box[0] == pytest.approx(make_image(3).sum())
         assert stub.batches == [1]
 
+    def test_idle_engine_dispatches_lone_request_at_once(self):
+        # Nothing queued behind the request: the worker must not hold
+        # the (deliberately huge) batching window for stragglers.
+        stub = StubGrounder()
+        with ServeEngine(stub, max_batch=64, max_wait=5.0) as engine:
+            start = time.perf_counter()
+            box = engine.ground(make_image(3), "lonely request", timeout=10)
+            elapsed = time.perf_counter() - start
+        assert box[0] == pytest.approx(make_image(3).sum())
+        assert elapsed < 1.0
+        assert stub.batches == [1]
+
+    def test_backlog_queued_behind_in_flight_batch_runs_as_one_batch(self):
+        blocker = _CountingBlockingGrounder()
+        with ServeEngine(blocker, max_batch=64) as engine:
+            first = engine.submit(make_image(1), "first")
+            assert blocker.entered.wait(10.0)
+            queued = [engine.submit(make_image(i), f"queued {i}")
+                      for i in (2, 3)]
+            blocker.release.set()
+            for future in [first] + queued:
+                future.result(timeout=10.0)
+            stats = engine.stats()
+        assert blocker.calls == 2
+        assert stats.batch_histogram == {1: 1, 2: 1}
+
     def test_cache_hit_skips_forward_and_is_byte_identical(self):
         stub = StubGrounder()
         image = make_image(5)
@@ -295,6 +321,7 @@ class TestStopSemantics:
         assert engine._stopping, "stop() never reached the draining phase"
         with pytest.raises(EngineStopped):
             engine.submit(make_image(2), "rejected")
+        assert engine.stats().requests == 1  # the rejection is not counted
         blocker.release.set()
         thread.join(10.0)
         assert not thread.is_alive() and errors == []
