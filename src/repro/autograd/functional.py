@@ -1,15 +1,31 @@
 """Structured differentiable operations: convolution, pooling, softmax.
 
-Convolution and pooling use an im2col strategy: the padded input is
-gathered into a ``(N, C, KH, KW, OH, OW)`` column tensor with strided
-slicing (one slice per kernel offset), after which the convolution is a
-single ``tensordot``.  Backward passes scatter-add through the same
-slices, which keeps both directions vectorised.
+Convolution is one GEMM per direction over im2col columns laid out as
+the ``(N*OH*OW, C*KH*KW)`` matrix ``np.dot`` consumes:
+
+* forward: ``columns @ W``, with ``W`` the ``(C*KH*KW, F)`` weight view;
+* ``grad_w``: ``grad^T @ columns``, reusing the forward's columns;
+* ``grad_x``: ``grad @ W^T`` gives per-window gradients, which
+  :func:`_col2im` scatter-adds into the unpadded input gradient through
+  windows clipped to the input (pooling shares it).
+
+A batch of one gathers ``(C, KH, KW, OH, OW)`` columns with
+:func:`_im2col` and hands ``np.dot`` their transpose; larger batches
+gather straight into the matrix with one memoised ``np.take`` index; a
+1x1, stride-1, unpadded conv reads its input as the columns.
+
+Memory-order rule: every ``np.dot`` receives operands with the values
+*and the memory order* (C or Fortran) that ``np.tensordot`` over
+``(N, C, KH, KW, OH, OW)`` columns would pass to BLAS: a Fortran-order
+view at batch one, a C-order matrix above it.  OpenBLAS picks a
+different kernel per order, and the last bit of a result can differ.
+Keeping the order keeps eager conv byte-identical to the graph
+executor's ``tensordot`` conv kernel and to recorded reference losses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,11 +40,12 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (int(value[0]), int(value[1]))
 
 
-#: Memoised gather indices for the fancy-indexing im2col path, keyed on
-#: (padded height, padded width, kernel, stride).  Batch and channel
-#: counts do not enter the key: the index addresses the flattened H*W
-#: plane and broadcasts over the leading (N, C) axes.
-_IM2COL_INDEX_CACHE: Dict[Tuple[int, int, int, int, int, int], np.ndarray] = {}
+#: Memoised gather indices, keyed on geometry: (height, width, kernel,
+#: stride) for the window index of :func:`_im2col`, which broadcasts
+#: over the leading (N, C) axes, and (channels, height, width, kernel,
+#: stride) for the GEMM-layout index of :func:`_gemm_columns`, which
+#: folds the channel into each column.  Neither depends on the batch.
+_IM2COL_INDEX_CACHE: Dict[Tuple[int, ...], np.ndarray] = {}
 _IM2COL_CACHE_STATS = {"hits": 0, "misses": 0}
 
 #: Column tensors up to this many elements use the memoised single-gather
@@ -39,25 +56,52 @@ _IM2COL_CACHE_STATS = {"hits": 0, "misses": 0}
 _IM2COL_GATHER_MAX_ELEMENTS = 50_000
 
 
+def _memoised_index(key: Tuple[int, ...], build: Callable[[], np.ndarray]) -> np.ndarray:
+    index = _IM2COL_INDEX_CACHE.get(key)
+    if index is None:
+        _IM2COL_CACHE_STATS["misses"] += 1
+        index = _IM2COL_INDEX_CACHE[key] = build()
+    else:
+        _IM2COL_CACHE_STATS["hits"] += 1
+    return index
+
+
+def _output_size(size: int, kernel: int, stride: int, padding: int = 0) -> int:
+    return (size + 2 * padding - kernel) // stride + 1
+
+
 def _im2col_indices(
     h: int, w: int, kernel: Tuple[int, int], stride: Tuple[int, int]
 ) -> np.ndarray:
     """Flat H*W gather indices of shape ``(KH, KW, OH, OW)``, memoised."""
-    key = (h, w, kernel[0], kernel[1], stride[0], stride[1])
-    index = _IM2COL_INDEX_CACHE.get(key)
-    if index is None:
-        _IM2COL_CACHE_STATS["misses"] += 1
-        kh, kw = kernel
-        sh, sw = stride
-        oh = (h - kh) // sh + 1
-        ow = (w - kw) // sw + 1
+    kh, kw = kernel
+    sh, sw = stride
+
+    def build() -> np.ndarray:
+        oh, ow = _output_size(h, kh, sh), _output_size(w, kw, sw)
         rows = np.arange(kh)[:, None, None, None] + sh * np.arange(oh)[None, None, :, None]
         cols = np.arange(kw)[None, :, None, None] + sw * np.arange(ow)[None, None, None, :]
-        index = rows * w + cols  # (KH, KW, OH, OW)
-        _IM2COL_INDEX_CACHE[key] = index
-    else:
-        _IM2COL_CACHE_STATS["hits"] += 1
-    return index
+        return rows * w + cols
+
+    return _memoised_index((h, w, kh, kw, sh, sw), build)
+
+
+def _gemm_indices(
+    c: int, h: int, w: int, kernel: Tuple[int, int], stride: Tuple[int, int]
+) -> np.ndarray:
+    """Flat C*H*W gather indices of shape ``(OH*OW, C*KH*KW)``, memoised."""
+    kh, kw = kernel
+    sh, sw = stride
+
+    def build() -> np.ndarray:
+        oh, ow = _output_size(h, kh, sh), _output_size(w, kw, sw)
+        # Axes (OH, OW, C, KH, KW): one row per output pixel.
+        rows = sh * np.arange(oh)[:, None, None, None, None] + np.arange(kh)[:, None]
+        cols = sw * np.arange(ow)[:, None, None, None] + np.arange(kw)
+        planes = h * w * np.arange(c)[:, None, None]
+        return (planes + rows * w + cols).reshape(oh * ow, c * kh * kw)
+
+    return _memoised_index((c, h, w, kh, kw, sh, sw), build)
 
 
 def im2col_cache_stats() -> Dict[str, int]:
@@ -90,8 +134,7 @@ def _im2col(
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
-    oh = (h - kh) // sh + 1
-    ow = (w - kw) // sw + 1
+    oh, ow = _output_size(h, kh, sh), _output_size(w, kw, sw)
     cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype) if out is None else out
     if cols.size <= _IM2COL_GATHER_MAX_ELEMENTS and x.flags.c_contiguous:
         index = _im2col_indices(h, w, kernel, stride)
@@ -103,20 +146,75 @@ def _im2col(
     return cols
 
 
-def _col2im(
-    cols: np.ndarray,
-    padded_shape: Tuple[int, int, int, int],
+def _gemm_columns(
+    x: np.ndarray,
     kernel: Tuple[int, int],
     stride: Tuple[int, int],
+    padding: Tuple[int, int],
 ) -> np.ndarray:
-    """Scatter-add kernel windows back into a padded NCHW array."""
+    """Columns of NCHW ``x`` as the ``(N*OH*OW, C*KH*KW)`` GEMM operand.
+
+    Values and memory order are those ``np.tensordot`` derives from
+    ``(N, C, KH, KW, OH, OW)`` columns (see the module docstring): a
+    Fortran-order view when ``N == 1``, a C-order matrix otherwise.
+    """
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
+    if (kh, kw, sh, sw, ph, pw) == (1, 1, 1, 1, 0, 0):
+        if n == 1:
+            return np.ascontiguousarray(x.reshape(c, h * w)).T
+        return np.ascontiguousarray(x.transpose(0, 2, 3, 1).reshape(n * h * w, c))
+    if ph or pw:
+        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    hp, wp = h + 2 * ph, w + 2 * pw
+    pixels = _output_size(hp, kh, sh) * _output_size(wp, kw, sw)
+    if n == 1:
+        return _im2col(x, kernel, stride).reshape(c * kh * kw, pixels).T
+    index = _gemm_indices(c, hp, wp, kernel, stride)
+    cols = np.take(x.reshape(n, c * hp * wp), index, axis=1)
+    return cols.reshape(n * pixels, c * kh * kw)
+
+
+def _clipped_window(
+    offset: int, stride: int, count: int, size: int
+) -> Optional[Tuple[slice, slice]]:
+    """Output and input slices of the taps ``offset + stride * o`` in ``[0, size)``."""
+    first = max(0, -(offset // stride))
+    stop = min(count, (size - 1 - offset) // stride + 1)
+    if stop <= first:
+        return None
+    start = offset + stride * first
+    return slice(first, stop), slice(start, start + stride * (stop - first - 1) + 1, stride)
+
+
+def _col2im(
+    cols: np.ndarray,
+    shape: Tuple[int, int, int, int],
+    kernel: Tuple[int, int],
+    stride: Tuple[int, int],
+    padding: Tuple[int, int] = (0, 0),
+) -> np.ndarray:
+    """Scatter-add ``(N, C, KH, KW, OH, OW)`` windows into a zero NCHW array.
+
+    ``shape`` is the unpadded input's; taps that fall in the padding are
+    skipped, so no padded buffer is built.  Every element receives its
+    taps in kernel-offset order, added onto +0.0, exactly as a scatter
+    into a zero padded buffer would give them.
+    """
     kh, kw = kernel
     sh, sw = stride
+    ph, pw = padding
     oh, ow = cols.shape[-2:]
-    out = np.zeros(padded_shape, dtype=cols.dtype)
+    out = np.zeros(shape, dtype=cols.dtype)
     for i in range(kh):
+        rows = _clipped_window(i - ph, sh, oh, shape[2])
+        if rows is None:
+            continue
         for j in range(kw):
-            out[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += cols[:, :, i, j]
+            columns = _clipped_window(j - pw, sw, ow, shape[3])
+            if columns is None:
+                continue
+            out[:, :, rows[1], columns[1]] += cols[:, :, i, j, rows[0], columns[0]]
     return out
 
 
@@ -132,37 +230,32 @@ def conv2d(
     weight = as_tensor(weight)
     stride = _pair(stride)
     padding = _pair(padding)
-    kh, kw = weight.shape[2], weight.shape[3]
-    ph, pw = padding
+    n, c, h, w = x.shape
+    f, _, kh, kw = weight.shape
+    oh = _output_size(h, kh, stride[0], padding[0])
+    ow = _output_size(w, kw, stride[1], padding[1])
 
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    cols = _im2col(x_pad, (kh, kw), stride)
-    # (N, C, KH, KW, OH, OW) x (F, C, KH, KW) -> (N, OH, OW, F)
-    value = np.tensordot(cols, weight.data, axes=([1, 2, 3], [1, 2, 3]))
-    value = value.transpose(0, 3, 1, 2)
+    cols = _gemm_columns(x.data, (kh, kw), stride, padding)
+    value = np.dot(cols, weight.data.transpose(1, 2, 3, 0).reshape(c * kh * kw, f))
+    value = value.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     if bias is not None:
         value = value + bias.data.reshape(1, -1, 1, 1)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = x._make_child(value, parents)
     if out.requires_grad:
-        padded_shape = x_pad.shape
-        in_h, in_w = x.shape[2], x.shape[3]
 
         def backward(grad: np.ndarray) -> None:
             if weight.requires_grad:
-                # (N, F, OH, OW) x (N, C, KH, KW, OH, OW) over N, OH, OW
-                grad_w = np.tensordot(grad, cols, axes=([0, 2, 3], [0, 4, 5]))
-                weight._accumulate(grad_w)
+                grad_w = np.dot(grad.transpose(1, 0, 2, 3).reshape(f, n * oh * ow), cols)
+                weight._accumulate(grad_w.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
                 bias._accumulate(grad.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                # (N, F, OH, OW) x (F, C, KH, KW) -> (N, OH, OW, C, KH, KW)
-                grad_cols = np.tensordot(grad, weight.data, axes=([1], [0]))
-                grad_cols = grad_cols.transpose(0, 3, 4, 5, 1, 2)
-                grad_pad = _col2im(grad_cols, padded_shape, (kh, kw), stride)
-                grad_x = grad_pad[:, :, ph : ph + in_h, pw : pw + in_w]
-                x._accumulate(grad_x)
+                grad_cols = np.dot(grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, f),
+                                   weight.data.reshape(f, c * kh * kw))
+                grad_cols = grad_cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+                x._accumulate(_col2im(grad_cols, x.shape, (kh, kw), stride, padding))
 
         out._backward = backward
     return out
@@ -211,7 +304,7 @@ def avg_pool2d(x: Tensor, kernel: IntPair, stride: IntPair = None) -> Tensor:
             n, c, oh, ow = grad.shape
             grad_cols = np.broadcast_to(
                 grad[:, :, None, None] * scale, (n, c, kh, kw, oh, ow)
-            ).copy()
+            )
             x._accumulate(_col2im(grad_cols, in_shape, kernel, stride))
 
         out._backward = backward

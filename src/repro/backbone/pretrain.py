@@ -182,6 +182,14 @@ def load_pretrained_backbone(
     The first call for a given (preset, steps, size) trains and writes an
     ``.npz`` under the cache directory; later calls load it instantly.
     This mirrors downloading the paper's ImageNet checkpoint.
+
+    Hazard: the cache key ``backbone-{name}-{steps}-{h}x{w}.npz`` omits
+    the global seed and RNG state that pre-training draws from, so the
+    process that fills the cache first decides the weights of every later
+    build under any seed.  A cache filled from a seed-1 build gives a
+    seed-0 build different weights than a cache filled under seed 0.
+    Callers that need reproducible weights fill the cache under a fixed
+    seed first, or pass their own ``cache_dir``.
     """
     from repro.backbone.factory import build_backbone
 

@@ -15,7 +15,6 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5,
     if len(boxes) == 0:
         return np.empty(0, dtype=np.int64)
     order = np.argsort(-scores)
-    ious = iou_matrix(boxes, boxes)
     keep = []
     suppressed = np.zeros(len(boxes), dtype=bool)
     for idx in order:
@@ -24,6 +23,8 @@ def nms(boxes: np.ndarray, scores: np.ndarray, iou_threshold: float = 0.5,
         keep.append(idx)
         if max_keep is not None and len(keep) >= max_keep:
             break
-        suppressed |= ious[idx] > iou_threshold
+        # One IoU row per kept box: the same per-element arithmetic as a
+        # row of the full matrix, without computing rows never read.
+        suppressed |= iou_matrix(boxes[idx], boxes)[0] > iou_threshold
         suppressed[idx] = True
     return np.asarray(keep, dtype=np.int64)

@@ -25,8 +25,9 @@ pooled by ``(dtype, element count)``, and handed to later nodes as
 earlier values die.  A node's inputs are released only *after* its own
 output buffer is acquired, so a kernel never reads and writes the same
 storage.  Convolutions carry private pad/column scratch buffers and run
-the same im2col gather and ``tensordot`` as eager ``conv2d``, so a plan
-depends only on its graph.
+``tensordot`` over im2col columns, which hands BLAS the operands eager
+``conv2d`` passes to ``np.dot``, with the same values and memory order,
+so both give the same bytes; a plan depends only on its graph.
 
 **Observability.**  When an op-level profiler is active, each kernel
 execution is recorded via :meth:`Profiler.record_op` under the node's

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.detection import AnchorMatcher, BalancedSampler, nms
+from repro.detection import AnchorMatcher, BalancedSampler, iou_matrix, nms
 
 
 def anchors_around(target, offsets):
@@ -112,6 +114,55 @@ class TestNMS:
 
     def test_empty_input(self):
         assert len(nms(np.empty((0, 4)), np.empty(0))) == 0
+
+
+def matrix_nms(boxes, scores, iou_threshold=0.5, max_keep=None):
+    """Reference NMS over the full IoU matrix (test oracle)."""
+    boxes = np.asarray(boxes, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(boxes) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.argsort(-scores)
+    ious = iou_matrix(boxes, boxes)
+    keep = []
+    suppressed = np.zeros(len(boxes), dtype=bool)
+    for idx in order:
+        if suppressed[idx]:
+            continue
+        keep.append(idx)
+        if max_keep is not None and len(keep) >= max_keep:
+            break
+        suppressed |= ious[idx] > iou_threshold
+        suppressed[idx] = True
+    return np.asarray(keep, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(0, 40),
+    seed=st.integers(0, 2 ** 32 - 1),
+    levels=st.sampled_from([None, 1, 2, 4]),
+    max_keep=st.sampled_from([None, 1, 5]),
+    iou_threshold=st.sampled_from([0.0, 0.3, 0.5, 0.9]),
+)
+@example(count=0, seed=0, levels=None, max_keep=None, iou_threshold=0.5)
+@example(count=1, seed=0, levels=None, max_keep=1, iou_threshold=0.5)
+@example(count=30, seed=3, levels=1, max_keep=5, iou_threshold=0.3)
+def test_lazy_nms_matches_matrix_nms(count, seed, levels, max_keep, iou_threshold):
+    """Same keep list, in the same order, as the full-matrix version;
+    ``levels`` quantises scores so that ties are common."""
+    rng = np.random.default_rng(seed)
+    corners = rng.uniform(0, 50, size=(count, 2))
+    sizes = rng.uniform(0, 20, size=(count, 2))
+    boxes = np.concatenate([corners, corners + sizes], axis=1)
+    scores = rng.uniform(size=count)
+    if levels is not None:
+        scores = np.floor(scores * levels) / levels
+    got = nms(boxes, scores, iou_threshold=iou_threshold, max_keep=max_keep)
+    expected = matrix_nms(boxes, scores, iou_threshold, max_keep)
+    assert got.dtype == expected.dtype
+    assert got.tolist() == expected.tolist()
+
 
 
 class TestUniformTopKMatcher:

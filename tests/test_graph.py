@@ -587,6 +587,43 @@ class TestCompiledPredict:
         grounder.uncompile()
         assert grounder.plan_cache is None
 
+    def test_yollo_preset_ranked_responses_match_eager_bytes(self):
+        """The ``yollo`` preset's conv trunk and detector head (1x1 convs
+        on channels-last views) answer byte-identically compiled and
+        eager, one sample at a time and in batches of three."""
+        from repro.core.response import responses_equal
+        from repro.zoo import lower_config
+
+        seed_everything(37)
+        dataset = build_dataset(REFCOCO.scaled(0.1))
+        config = lower_config(
+            "yollo", max_query_length=max(8, dataset.max_query_length))
+        model = YolloModel(config, vocab_size=len(dataset.vocab))
+        model.eval()
+        grounder = Grounder(model, dataset.vocab)
+        grounder.clause_conditioning = True
+        ranked = grounder.ranked(top_k=5)
+        # One sample per distinct image: nine images, nine queries.
+        samples = list({s.image.tobytes(): s for s in dataset["train"]}.values())[:9]
+        assert len(samples) == 9
+        assert len({s.query for s in samples}) == len(samples)
+
+        def answers():
+            single = [ranked([s])[0] for s in samples]
+            batched = [r for i in range(0, len(samples), 3)
+                       for r in ranked(samples[i:i + 3])]
+            return single + batched
+
+        eager = answers()
+        grounder.compile()
+        compiled = answers()
+        assert all(responses_equal(a, b) for a, b in zip(eager, compiled))
+        # A kernel that disagrees with eager on its trace input is replaced
+        # by eager replay, which would hide a conv whose bytes drifted.
+        plans = list(model.plan_cache._entries.values())
+        assert len(plans) >= 2
+        assert [plan.fallbacks for plan in plans] == [0] * len(plans)
+
 
 # ----------------------------------------------------------------------
 # Observability integration
