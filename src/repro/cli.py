@@ -101,32 +101,19 @@ def _setup(args) -> None:
     seed_everything(args.seed)
 
 
-def _build_dataset(args):
-    from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG, build_dataset
+def _build_yollo(args):
+    """``(model, dataset)`` from CLI arguments, loading ``--model`` if set.
 
-    spec = {"RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS, "RefCOCOg": REFCOCOG}[
-        args.dataset
-    ]
-    return build_dataset(spec.scaled(args.scale))
-
-
-def _build_model(args, dataset):
-    from repro.backbone import load_pretrained_backbone
-    from repro.core import YolloConfig, YolloModel
+    Zoo presets carry the whole architecture (backbone included), so
+    ``--backbone`` only applies without ``--preset``.
+    """
+    from repro.zoo import build_yollo
 
     preset = getattr(args, "preset", None)
-    if preset:
-        # Zoo presets carry the whole architecture (backbone included);
-        # --backbone is ignored in favour of the preset's choice.
-        from repro.zoo import lower_config
-
-        config = lower_config(
-            preset, max_query_length=max(8, dataset.max_query_length))
-    else:
-        config = YolloConfig(backbone=args.backbone,
-                             max_query_length=max(8, dataset.max_query_length))
-    backbone = load_pretrained_backbone(config.backbone, steps=args.pretrain_steps)
-    return YolloModel(config, vocab_size=len(dataset.vocab), backbone=backbone), config
+    overrides = {} if preset else {"backbone": args.backbone}
+    return build_yollo(preset or "yollo", args.dataset, args.scale,
+                       args.pretrain_steps, getattr(args, "model", None),
+                       **overrides)
 
 
 def _dist_spec(args, profile: bool = False, profile_out=None, top: int = 12):
@@ -188,14 +175,15 @@ def cmd_train(args) -> int:
     _setup(args)
     if args.workers > 1:
         return _cmd_train_dist(args)
-    dataset = _build_dataset(args)
-    model, config = _build_model(args, dataset)
+    model, dataset = _build_yollo(args)
     if args.preset:
         from repro.zoo import preset_fingerprint
 
+        fingerprint = preset_fingerprint(
+            args.preset, max_query_length=model.config.max_query_length)
         print(f"model preset: {args.preset} (config fingerprint "
-              f"{preset_fingerprint(args.preset, max_query_length=config.max_query_length)})")
-    trainer = YolloTrainer(model, dataset, config,
+              f"{fingerprint})")
+    trainer = YolloTrainer(model, dataset,
                            logger=ProgressLogger("train", enabled=not args.quiet))
     if args.checkpoint_dir:
         from repro.runtime import TrainingSupervisor
@@ -232,9 +220,7 @@ def cmd_evaluate(args) -> int:
     from repro.eval import evaluate_grounder, format_table
 
     _setup(args)
-    dataset = _build_dataset(args)
-    model, _ = _build_model(args, dataset)
-    model.load(args.model)
+    model, dataset = _build_yollo(args)
     grounder = Grounder(model, dataset.vocab)
     rows = []
     for split in dataset.split_names():
@@ -252,9 +238,7 @@ def cmd_ground(args) -> int:
     from repro.viz import render_attention_ascii
 
     _setup(args)
-    dataset = _build_dataset(args)
-    model, _ = _build_model(args, dataset)
-    model.load(args.model)
+    model, dataset = _build_yollo(args)
     grounder = Grounder(model, dataset.vocab)
     sample = dataset["val"][args.index]
     query = args.query or sample.query
@@ -274,10 +258,7 @@ def cmd_serve_bench(args) -> int:
     from repro.serve import ServeEngine, synthetic_trace
 
     _setup(args)
-    dataset = _build_dataset(args)
-    model, _ = _build_model(args, dataset)
-    if args.model:
-        model.load(args.model)
+    model, dataset = _build_yollo(args)
     model.eval()
     grounder = Grounder(model, dataset.vocab)
     if args.compiled:
@@ -322,9 +303,9 @@ def cmd_serve_fleet(args) -> int:
     from repro.runtime import CheckpointManager, FaultPlan
     from repro.serve import (
         FleetConfig, FleetRouter, ReplicaSpec, build_latency_grounder,
-        build_yollo_grounder, run_soak, timed_trace,
+        preset_content_check, run_soak, timed_trace,
     )
-    from repro.utils.seeding import spawn_rng
+    from repro.utils.seeding import seed_everything, spawn_rng
 
     _setup(args)
     if args.presets and (args.trace_mix or args.simulated):
@@ -359,29 +340,6 @@ def cmd_serve_fleet(args) -> int:
             max_batch=args.max_batch, cache_size=args.cache_size,
             seed=args.seed, fault_plan=fault_plan,
         )
-    elif args.presets:
-        # Heterogeneous mode: one replica group per zoo preset.  Requests
-        # are model-tagged, the router routes them only to matching
-        # replicas, and the shared response cache keys on the preset —
-        # two presets can never cross-serve each other's answers.
-        from repro.zoo import build_preset_grounder
-
-        dataset = _build_dataset(args)
-        pool = list(dataset["val"]) or list(dataset["train"])
-        preset_kwargs = dict(dataset_name=args.dataset, scale=args.scale,
-                             pretrain_steps=args.pretrain_steps)
-        spec = [
-            ReplicaSpec(
-                builder=build_preset_grounder,
-                builder_kwargs=dict(preset_kwargs, preset=name),
-                model_id=name,
-                max_batch=args.max_batch, cache_size=args.cache_size,
-                seed=args.seed,
-                dtype="float64" if args.float64 else "float32",
-                fault_plan=fault_plan,
-            )
-            for name in args.presets
-        ]
     elif args.simulated:
         from repro.data.refcoco import GroundingSample
 
@@ -400,20 +358,37 @@ def cmd_serve_fleet(args) -> int:
             seed=args.seed, fault_plan=fault_plan,
         )
     else:
-        dataset = _build_dataset(args)
+        # Real models: every replica serves a zoo preset's ranked
+        # grounder.  With --presets there is one replica group per
+        # preset: requests are model-tagged, the router routes them only
+        # to matching replicas, and the shared response cache keys on
+        # the preset, so two presets can never cross-serve each other's
+        # answers.  Without it, every replica serves the ``yollo``
+        # preset on --backbone.
+        from repro.data import DATASETS, build_dataset
+        from repro.zoo import build_preset_grounder
+
+        dataset = build_dataset(DATASETS[args.dataset].scaled(args.scale))
         pool = list(dataset["val"]) or list(dataset["train"])
-        spec = ReplicaSpec(
-            builder=build_yollo_grounder,
-            builder_kwargs=dict(
-                dataset_name=args.dataset, scale=args.scale,
-                backbone=args.backbone, pretrain_steps=args.pretrain_steps,
-                model_path=args.model,
-            ),
-            max_batch=args.max_batch, cache_size=args.cache_size,
-            seed=args.seed,
-            dtype="float64" if args.float64 else "float32",
-            fault_plan=fault_plan,
-        )
+        preset_kwargs = dict(dataset_name=args.dataset, scale=args.scale,
+                             pretrain_steps=args.pretrain_steps)
+
+        def replica(model_id: str, **builder_kwargs) -> ReplicaSpec:
+            return ReplicaSpec(
+                builder=build_preset_grounder,
+                builder_kwargs=dict(preset_kwargs, **builder_kwargs),
+                model_id=model_id,
+                max_batch=args.max_batch, cache_size=args.cache_size,
+                seed=args.seed,
+                dtype="float64" if args.float64 else "float32",
+                fault_plan=fault_plan,
+            )
+
+        if args.presets:
+            spec = [replica(name, preset=name) for name in args.presets]
+        else:
+            spec = replica("", preset="yollo", backbone=args.backbone,
+                           model_path=args.model)
 
     reload_at = None
     reload_checkpoint = None
@@ -441,35 +416,15 @@ def cmd_serve_fleet(args) -> int:
                             repeat_fraction=args.repeat_fraction)
     content_check = None
     if args.presets:
-        # Tag requests round-robin across the presets, then precompute —
-        # per preset, in this process — the answer a single-engine
-        # deployment of that preset would give.  Replica processes are
-        # seeded identically, so every fleet response must match its
-        # preset's reference byte for byte; one preset answering another
-        # preset's request (routing or cache cross-talk) fails the soak.
-        from repro.core import responses_equal
-        from repro.serve import image_digest
-        from repro.serve.engine import _make_sample
-        from repro.utils.seeding import seed_everything
-        from repro.zoo import build_preset_grounder
-
+        # Tag requests round-robin across the presets; replica processes
+        # are seeded identically to the per-preset references built
+        # here, so every fleet response must match its preset's
+        # reference byte for byte.
         for index, request in enumerate(trace):
             request.model = args.presets[index % len(args.presets)]
-        expected = {}
-        for name in args.presets:
-            seed_everything(args.seed)
-            reference = build_preset_grounder(preset=name, **preset_kwargs)
-            for request in trace:
-                key = (name, image_digest(request.image), str(request.query))
-                if request.model == name and key not in expected:
-                    expected[key] = reference(
-                        [_make_sample(request.image, request.query)])[0]
+        content_check = preset_content_check(trace, args.seed,
+                                             **preset_kwargs)
         seed_everything(args.seed)
-
-        def content_check(request, result):
-            key = (request.model, image_digest(request.image),
-                   str(request.query))
-            return responses_equal(expected[key], result)
 
     config = FleetConfig(
         replicas=args.replicas, max_queue=args.max_queue,
@@ -541,15 +496,12 @@ def cmd_profile(args) -> int:
         print(f"\nwrote Chrome trace (rank 0) to {out} "
               f"(open in chrome://tracing)")
         return 0
-    dataset = _build_dataset(args)
-    model, config = _build_model(args, dataset)
-    if args.model:
-        model.load(args.model)
+    model, dataset = _build_yollo(args)
 
     if args.target == "train-step":
         from repro.core import YolloTrainer
 
-        trainer = YolloTrainer(model, dataset, config)
+        trainer = YolloTrainer(model, dataset)
         trainer.begin_run(iterations=args.steps)
         with profile() as prof:
             for _ in range(args.steps):

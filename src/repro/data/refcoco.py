@@ -70,6 +70,9 @@ REFCOCOG = DatasetSpec(
     scenes_per_split={"train": 120, "val": 25},
 )
 
+#: The three benchmark specs keyed by :attr:`DatasetSpec.name`.
+DATASETS = {"RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS, "RefCOCOg": REFCOCOG}
+
 
 @dataclass
 class GroundingSample:

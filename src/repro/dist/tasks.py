@@ -278,20 +278,6 @@ class PretrainDistTask:
 # Spawn-safe builders (module-level; only picklable kwargs)
 # ----------------------------------------------------------------------
 
-_DATASET_SPECS = None
-
-
-def _dataset_spec(name: str):
-    global _DATASET_SPECS
-    if _DATASET_SPECS is None:
-        from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG
-
-        _DATASET_SPECS = {
-            "RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS, "RefCOCOg": REFCOCOG,
-        }
-    return _DATASET_SPECS[name]
-
-
 def warm_backbone(name: str = "tiny", pretrain_steps: int = 1,
                   image_height: int = 48, image_width: int = 72) -> None:
     """Populate the on-disk backbone cache before workers race for it.
@@ -318,24 +304,13 @@ def build_yollo_task(
     config_overrides: Optional[Dict[str, Any]] = None,
 ) -> YolloDistTask:
     """Build a YOLLO training replica inside a worker process."""
-    from repro.backbone import load_pretrained_backbone
-    from repro.core import YolloConfig, YolloModel, YolloTrainer
-    from repro.data import build_dataset
+    from repro.core import YolloTrainer
+    from repro.zoo import build_yollo
 
-    dataset = build_dataset(_dataset_spec(dataset_name).scaled(scale))
-    config = YolloConfig(
-        backbone=backbone,
-        max_query_length=max(8, dataset.max_query_length),
-    )
-    if config_overrides:
-        config = config.with_overrides(**config_overrides)
-    pretrained = load_pretrained_backbone(
-        config.backbone, steps=pretrain_steps,
-        image_height=config.image_height, image_width=config.image_width,
-    )
-    model = YolloModel(config, vocab_size=len(dataset.vocab),
-                       backbone=pretrained)
-    trainer = YolloTrainer(model, dataset, config)
+    model, dataset = build_yollo(
+        "yollo", dataset_name, scale, pretrain_steps,
+        **{"backbone": backbone, **(config_overrides or {})})
+    trainer = YolloTrainer(model, dataset)
     trainer.begin_run(epochs=epochs, iterations=iterations,
                       eval_every=eval_every)
     return YolloDistTask(trainer, grad_shards=grad_shards)

@@ -34,15 +34,16 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.dist.collective import Collective, CollectiveError
 from repro.dist.trainer import DistConfig, DistributedTrainer
 from repro.obs import MetricsRegistry, get_registry
-from repro.runtime.faults import FaultPlan, SimulatedCrash
+from repro.runtime.faults import (
+    EXIT_PEER_LOST, EXIT_SIMULATED_CRASH, FaultPlan, SimulatedCrash,
+    start_child,
+)
 from repro.runtime.retry import RetryExhaustedError, retry_call
 from repro.utils.logging import ProgressLogger
-from repro.utils.seeding import seed_everything, spawn_rng
+from repro.utils.seeding import spawn_rng
 
 
 class WorkerGroupError(RuntimeError):
@@ -113,10 +114,7 @@ class DistReport:
 def _worker_entry(spec: WorkerSpec, rank: int, world_size: int,
                   generation: int, peer_conns: Dict[int, Any],
                   report_conn) -> None:
-    from repro.autograd import set_default_dtype
-
-    set_default_dtype(np.float64 if spec.dtype == "float64" else np.float32)
-    seed_everything(spec.seed)
+    start_child(spec.dtype, spec.seed)
     registry = get_registry()
     registry.gauge("dist.rank").set(rank)
     registry.gauge("dist.world_size").set(world_size)
@@ -198,13 +196,13 @@ def _worker_entry(spec: WorkerSpec, rank: int, world_size: int,
     except SimulatedCrash:
         # Die the way a killed process does: no report, no cleanup —
         # peers find out through EOF on the pipes.
-        os._exit(17)
+        os._exit(EXIT_SIMULATED_CRASH)
     except CollectiveError as exc:
         try:
             report_conn.send(("peer-lost", rank, {"error": str(exc)}))
         except (BrokenPipeError, OSError):
             pass
-        os._exit(18)
+        os._exit(EXIT_PEER_LOST)
     except BaseException as exc:  # noqa: BLE001 — ship the failure home
         try:
             report_conn.send((

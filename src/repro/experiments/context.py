@@ -23,13 +23,7 @@ from repro.autograd import set_default_dtype
 from repro.backbone import load_pretrained_backbone
 from repro.backbone.pretrain import default_cache_dir
 from repro.core import Grounder, YolloConfig, YolloModel, YolloTrainer
-from repro.data import (
-    GroundingDataset,
-    REFCOCO,
-    REFCOCO_PLUS,
-    REFCOCOG,
-    build_dataset,
-)
+from repro.data import DATASETS, GroundingDataset, build_dataset
 from repro.eval import MetricReport, TrainingCurve, evaluate_grounder
 from repro.experiments.config import ExperimentPreset, get_preset
 from repro.optim import WarmupCosineLR
@@ -45,13 +39,7 @@ from repro.twostage import (
 from repro.utils.logging import ProgressLogger
 from repro.utils.seeding import seed_everything, spawn_rng
 
-DATASET_SPECS = {
-    "RefCOCO": REFCOCO,
-    "RefCOCO+": REFCOCO_PLUS,
-    "RefCOCOg": REFCOCOG,
-}
-
-DATASET_NAMES = tuple(DATASET_SPECS)
+DATASET_NAMES = tuple(DATASETS)
 
 #: A trained model whose validation curve never clears this ACC@0.5 is
 #: considered degenerate (it never learned to localise at all) and its
@@ -114,7 +102,7 @@ class ExperimentContext:
     # Datasets and vocabulary
     # ------------------------------------------------------------------
     def _scaled_spec(self, name: str):
-        spec = DATASET_SPECS[name]
+        spec = DATASETS[name]
         splits = {
             split: (self.preset.train_scenes if split == "train" else self.preset.eval_scenes)
             for split in spec.scenes_per_split

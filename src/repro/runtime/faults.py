@@ -12,6 +12,10 @@ Faults default to *fire-once* semantics: after a fault fires it is
 spent, modelling transient failures.  Set ``fire_once=False`` for
 persistent faults (e.g. a permanently failing disk) to exercise
 graceful-degradation paths instead.
+
+Spawned children (training workers, serving replicas) share one exit
+protocol: :func:`start_child` bootstraps them, and they exit with
+:data:`EXIT_SIMULATED_CRASH` or :data:`EXIT_PEER_LOST`.
 """
 
 from __future__ import annotations
@@ -25,6 +29,26 @@ import numpy as np
 
 class SimulatedCrash(RuntimeError):
     """Injected process death; tests catch this to simulate a kill."""
+
+
+#: Exit status of a spawned child (training worker or serving replica)
+#: that died of a :class:`SimulatedCrash`: no drain, no report.
+EXIT_SIMULATED_CRASH = 17
+#: Exit status of a spawned child whose peer or pipe went away.
+EXIT_PEER_LOST = 18
+
+
+def start_child(dtype: str, seed: int) -> None:
+    """Bootstrap a spawned child: default dtype and global seed.
+
+    ``dtype`` is ``"float64"`` or anything else for float32, as carried
+    by the worker and replica specs.
+    """
+    from repro.autograd import set_default_dtype
+    from repro.utils.seeding import seed_everything
+
+    set_default_dtype(np.float64 if dtype == "float64" else np.float32)
+    seed_everything(seed)
 
 
 def corrupt_file(path: str, mode: str = "truncate") -> None:

@@ -55,11 +55,10 @@ from repro.serve.replica import (
     LatencyGrounder,
     ReplicaSpec,
     build_latency_grounder,
-    build_yollo_grounder,
     load_checkpoint_payload,
     state_checksum,
 )
-from repro.serve.soak import SoakReport, run_soak
+from repro.serve.soak import SoakReport, preset_content_check, run_soak
 from repro.serve.stats import ServerStats, StatsRecorder
 from repro.serve.trace import (
     TimedRequest,
@@ -93,9 +92,9 @@ __all__ = [
     "ReplicaSpec",
     "LatencyGrounder",
     "build_latency_grounder",
-    "build_yollo_grounder",
     "state_checksum",
     "load_checkpoint_payload",
     "SoakReport",
     "run_soak",
+    "preset_content_check",
 ]

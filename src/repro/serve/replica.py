@@ -40,9 +40,11 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.faults import FaultPlan, SimulatedCrash
+from repro.runtime.faults import (
+    EXIT_PEER_LOST, EXIT_SIMULATED_CRASH, FaultPlan, SimulatedCrash,
+    start_child,
+)
 from repro.serve.engine import ServeEngine
-from repro.utils.seeding import seed_everything
 
 
 # ----------------------------------------------------------------------
@@ -138,37 +140,6 @@ def build_latency_grounder(latency: float = 0.002, version: float = 0.0,
     return LatencyGrounder(latency=latency, version=version, bias=bias)
 
 
-def build_yollo_grounder(dataset_name: str = "RefCOCO", scale: float = 0.1,
-                         backbone: str = "tiny", pretrain_steps: int = 1,
-                         model_path: Optional[str] = None,
-                         compiled: bool = False):
-    """Reconstruct a real YOLLO grounder inside a replica process.
-
-    Replicas are seeded identically by the entry point before this runs,
-    so every replica initialises bit-identical weights even without a
-    ``model_path`` — a request answers the same no matter which replica
-    serves it.
-    """
-    from repro.backbone import load_pretrained_backbone
-    from repro.core import Grounder, YolloConfig, YolloModel
-    from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG, build_dataset
-
-    spec = {"RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS,
-            "RefCOCOg": REFCOCOG}[dataset_name]
-    dataset = build_dataset(spec.scaled(scale))
-    config = YolloConfig(backbone=backbone,
-                         max_query_length=max(8, dataset.max_query_length))
-    net = load_pretrained_backbone(config.backbone, steps=pretrain_steps)
-    model = YolloModel(config, vocab_size=len(dataset.vocab), backbone=net)
-    if model_path:
-        model.load(model_path)
-    model.eval()
-    grounder = Grounder(model, dataset.vocab)
-    if compiled:
-        grounder.compile()
-    return grounder
-
-
 # ----------------------------------------------------------------------
 # Replica process
 # ----------------------------------------------------------------------
@@ -205,12 +176,8 @@ class ReplicaSpec:
 def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
                    conn) -> None:
     """Process entry point: build, serve the pipe, die realistically."""
-    from repro.autograd import set_default_dtype
-
     try:
-        set_default_dtype(np.float64 if spec.dtype == "float64"
-                          else np.float32)
-        seed_everything(spec.seed)
+        start_child(spec.dtype, spec.seed)
         grounder = spec.builder(**spec.builder_kwargs)
         if spec.initial_checkpoint:
             apply_weights(grounder, load_checkpoint_payload(
@@ -292,6 +259,6 @@ def _replica_entry(spec: ReplicaSpec, replica_id: int, generation: int,
     except SimulatedCrash:
         # Die the way a killed process does: no drain, no report — the
         # router finds out through EOF on the pipe.
-        os._exit(17)
+        os._exit(EXIT_SIMULATED_CRASH)
     except (BrokenPipeError, OSError):
-        os._exit(18)
+        os._exit(EXIT_PEER_LOST)

@@ -45,8 +45,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.response import GroundingResponse
+from repro.core.response import GroundingResponse, responses_equal
 from repro.obs.metrics import percentiles
+from repro.serve.cache import image_digest
+from repro.serve.engine import _make_sample
 from repro.serve.fleet import (
     DeadlineExceeded,
     FleetError,
@@ -55,6 +57,7 @@ from repro.serve.fleet import (
     Overloaded,
 )
 from repro.serve.trace import TimedRequest
+from repro.utils.seeding import seed_everything
 
 
 def _describe(result) -> str:
@@ -363,3 +366,38 @@ def run_soak(
         scenario_p99=scenario_p99,
         content_mismatches=counts["mismatch"],
     )
+
+
+def preset_content_check(
+    trace: Sequence[TimedRequest], seed: int, **builder_kwargs: Any,
+) -> Callable[[TimedRequest, Any], bool]:
+    """``content_check`` for a heterogeneous fleet: each response must
+    equal, byte for byte, its own preset's single-engine answer.
+
+    Every request must be tagged with ``model`` (a zoo preset name).
+    Per preset, in order of first appearance, the process is seeded
+    with ``seed`` and :func:`repro.zoo.build_preset_grounder` is built
+    with ``builder_kwargs``, as a replica seeded with ``seed`` builds
+    it; its answer to each of the preset's ``(image, query)`` keys is
+    recorded.  One preset answering another preset's request (routing
+    or cache cross-talk) then fails the check.
+    """
+    from repro.zoo import build_preset_grounder
+
+    def key(request: TimedRequest) -> Tuple[str, str, str]:
+        return (request.model, image_digest(request.image),
+                str(request.query))
+
+    expected: Dict[Tuple[str, str, str], Any] = {}
+    for name in dict.fromkeys(request.model for request in trace):
+        seed_everything(seed)
+        reference = build_preset_grounder(preset=name, **builder_kwargs)
+        for request in trace:
+            if request.model == name and key(request) not in expected:
+                expected[key(request)] = reference(
+                    [_make_sample(request.image, request.query)])[0]
+
+    def content_check(request: TimedRequest, result: Any) -> bool:
+        return responses_equal(expected[key(request)], result)
+
+    return content_check

@@ -14,6 +14,7 @@ from repro.zoo.registry import (
     available_presets,
     build_model,
     build_preset_grounder,
+    build_yollo,
     get_preset,
     lower_config,
     preset_fingerprint,
@@ -27,6 +28,7 @@ __all__ = [
     "available_presets",
     "build_model",
     "build_preset_grounder",
+    "build_yollo",
     "get_preset",
     "lower_config",
     "preset_fingerprint",

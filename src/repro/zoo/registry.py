@@ -4,8 +4,10 @@ A *preset* is a named flat config dict — overrides over the
 ``YolloConfig`` defaults, in the spirit of detection-lab config files —
 registered here at import time (importing :mod:`repro.zoo` pulls in the
 built-in presets), so every harness that builds a model (the training
-CLI, the experiment context, the serving fleet, the zoo benchmark)
-enumerates variants by name instead of hard-coding constructor calls.
+CLI, the distributed trainer, the experiment context, the serving
+fleet, the zoo benchmark) enumerates variants by name instead of
+hard-coding constructor calls.  :func:`build_yollo` is the one builder
+from a dataset name and a preset to a model.
 
 Lowering (:func:`lower_config`) normalises the flat dict (YAML-ish
 lists become the tuples the dataclass expects) and validates it through
@@ -149,39 +151,60 @@ def build_model(preset: Union[str, ModelPreset], vocab_size: int,
                       backbone=backbone)
 
 
+def build_yollo(preset: Union[str, ModelPreset] = "yollo",
+                dataset_name: str = "RefCOCO", scale: float = 0.1,
+                pretrain_steps: int = 1, model_path: Optional[str] = None,
+                **overrides: object):
+    """Build a preset's model on a named dataset: ``(model, dataset)``.
+
+    The one path from "dataset name + preset" to a YOLLO model; every
+    harness outside the benchmark builds through it.  Queries are padded
+    to the dataset's longest query, at least 8 tokens; ``overrides`` are
+    lowered after that, so an explicit ``max_query_length`` wins.  The
+    backbone is pre-trained (or loaded from the cache) at the lowered
+    config's own image size.  The order dataset -> backbone -> model
+    fixes the global RNG draws, so one seed gives one set of weights.
+    """
+    from repro.backbone import load_pretrained_backbone
+    from repro.core import YolloModel
+    from repro.data import DATASETS, build_dataset
+
+    dataset = build_dataset(DATASETS[dataset_name].scaled(scale))
+    config = lower_config(preset, **{
+        "max_query_length": max(8, dataset.max_query_length), **overrides})
+    backbone = load_pretrained_backbone(
+        config.backbone, steps=pretrain_steps,
+        image_height=config.image_height, image_width=config.image_width)
+    # Not build_model: its ``backbone`` parameter (a module) would clash
+    # with a ``backbone`` name override.
+    model = YolloModel(config, len(dataset.vocab), backbone=backbone)
+    if model_path:
+        model.load(model_path)
+    return model, dataset
+
+
 def build_preset_grounder(preset: str = "tiny",
                           dataset_name: str = "RefCOCO", scale: float = 0.1,
                           pretrain_steps: int = 1,
                           model_path: Optional[str] = None,
                           compiled: bool = False, top_k: int = 5,
-                          not_found_threshold: float = 0.0):
+                          not_found_threshold: float = 0.0,
+                          **overrides: object):
     """Reconstruct a preset's ranked grounder inside a replica process.
 
-    The zoo analogue of :func:`repro.serve.replica.build_yollo_grounder`:
-    module-level and kwarg-picklable so it works as a ``ReplicaSpec``
-    builder under ``spawn``.  Replicas are seeded before this runs, so
-    every replica built from the *same preset and seed* initialises
-    bit-identical weights — the property the heterogeneous-fleet soak
-    leans on when it compares fleet responses against a single-engine
-    reference built the same way in the parent.
+    Module-level and kwarg-picklable so it works as a ``ReplicaSpec``
+    builder under ``spawn``; ``overrides`` reach :func:`build_yollo`.
+    Replicas are seeded before this runs, so every replica built from
+    the *same preset and seed* initialises bit-identical weights — the
+    property the heterogeneous-fleet soak leans on when it compares
+    fleet responses against a single-engine reference built the same
+    way in the parent.
     """
-    from repro.backbone import load_pretrained_backbone
     from repro.core import Grounder
-    from repro.data import REFCOCO, REFCOCO_PLUS, REFCOCOG, build_dataset
 
-    spec = {"RefCOCO": REFCOCO, "RefCOCO+": REFCOCO_PLUS,
-            "RefCOCOg": REFCOCOG}[dataset_name]
-    dataset = build_dataset(spec.scaled(scale))
-    config = lower_config(
-        preset, max_query_length=max(8, dataset.max_query_length))
-    net = load_pretrained_backbone(config.backbone, steps=pretrain_steps)
-    from repro.core import YolloModel
-
-    model = YolloModel(config, vocab_size=len(dataset.vocab), backbone=net)
-    if model_path:
-        model.load(model_path)
-    model.eval()
-    grounder = Grounder(model, dataset.vocab)
+    model, dataset = build_yollo(preset, dataset_name, scale, pretrain_steps,
+                                 model_path, **overrides)
+    grounder = Grounder(model.eval(), dataset.vocab)
     if compiled:
         grounder.compile()
     return grounder.ranked(top_k=top_k,

@@ -1,6 +1,7 @@
 """Command-line interface: argument parsing and tiny end-to-end runs."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,21 @@ class TestEndToEnd:
         assert "heterogeneous fleet: 2 preset(s)" in out
         assert "model=tiny" in out and "model=tiny-word2pix" in out
         assert "0 LOST" in out
+
+    @pytest.mark.dist
+    def test_real_model_fleet_soak_with_kill_and_reload(self, tmp_path,
+                                                        capsys, monkeypatch):
+        """The non-preset real-model fleet (ranked ``yollo`` replicas on
+        --backbone) survives a replica kill and a rolling reload."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        code = main(["serve-fleet", "--replicas", "2", "--requests", "16",
+                     "--rate", "200", "--scale", "0.03", "--seed", "3",
+                     "--reload-at", "8", "--kill-replica", "0:3"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "0 LOST" in out
+        # The killed replica is rolled too if it has respawned by then.
+        assert re.search(r"rolled [12] replica", out), out
 
     def test_experiments_single_scenario_report(self, tmp_path, capsys,
                                                 monkeypatch):

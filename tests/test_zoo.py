@@ -20,6 +20,8 @@ from repro.zoo import (
     UnknownPresetError,
     available_presets,
     build_model,
+    build_preset_grounder,
+    build_yollo,
     get_preset,
     lower_config,
     preset_fingerprint,
@@ -105,6 +107,37 @@ class TestRegistry:
         twin = ModelPreset(name="tiny-twin", description="",
                            config=dict(get_preset("tiny").config))
         assert preset_fingerprint(twin) != preset_fingerprint("tiny")
+
+
+# ----------------------------------------------------------------------
+# One builder: every harness builds its model through build_yollo
+# ----------------------------------------------------------------------
+class TestBuildYollo:
+    def test_harness_builders_initialise_identical_weights(
+            self, tmp_path, monkeypatch):
+        from repro.dist import build_yollo_task
+        from repro.serve import state_checksum
+        from repro.utils import seed_everything
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        seed_everything(0)
+        direct, _ = build_yollo("yollo", backbone="tiny")
+        seed_everything(0)
+        task = build_yollo_task(backbone="tiny", scale=0.1)
+        seed_everything(0)
+        grounder = build_preset_grounder("yollo", backbone="tiny")
+        checksums = {state_checksum(model.state_dict()) for model in
+                     (direct, task.trainer.model, grounder.model)}
+        assert len(checksums) == 1
+
+    def test_explicit_max_query_length_beats_dataset_default(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        model, dataset = build_yollo("tiny", scale=0.04)
+        assert model.config.max_query_length == _maxlen(dataset)
+        padded, _ = build_yollo("tiny", scale=0.04,
+                                max_query_length=_maxlen(dataset) + 7)
+        assert padded.config.max_query_length == _maxlen(dataset) + 7
 
 
 # ----------------------------------------------------------------------
